@@ -7,6 +7,7 @@
 //! With `--json <path>` (as driven by `scripts/bench.sh`) the results are
 //! also written as a machine-readable report.
 
+use tqt_fixedpoint::gemm_i8::has_avx2;
 use tqt_fixedpoint::kernels::{
     col_sums, matmul_i8_acc32_into, requant_buffer_affine_into, requant_buffer_pow2_into,
     requant_buffer_real_into, row_sums,
@@ -17,6 +18,7 @@ use tqt_fixedpoint::{
 };
 use tqt_graph::{quantize_graph, transforms, QuantizeOptions, WeightBits};
 use tqt_models::{ModelKind, INPUT_DIMS};
+use tqt_nn::Mode;
 use tqt_rt::bench::{black_box, Bench, Report};
 use tqt_tensor::{init, Tensor};
 
@@ -159,6 +161,14 @@ fn main() {
     // the rebal_fused entries quantize with per-operand (unmerged) scales,
     // repair the merges with the rebalance pass, and fuse through the
     // inserted coercions — the cost of keeping independent thresholds.
+    // Each model's fp32 baseline (eval forward of the unquantized,
+    // BN-folded graph) is timed in the same run, and the
+    // `int8_over_fp32/<model>` metrics divide the unfused and fused int8
+    // medians by it, so the ratios compare across hosts.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    report.push_metric("host/cpus", cpus as f64);
+    report.push_metric("host/pool_threads", tqt_rt::pool::threads() as f64);
+    report.push_metric("host/avx2", f64::from(u8::from(has_avx2())));
     let zoo: &[ModelKind] = if report.smoke() {
         &[ModelKind::ResNet8]
     } else {
@@ -184,12 +194,26 @@ fn main() {
         let mut fex = IntExecutor::new(&fg, &dims);
         let mut rfex = IntExecutor::new(&rfg, &dims);
         let x: Tensor = init::normal(dims, 0.0, 1.0, &mut rng);
-        report.push(bench.run(&format!("int_infer/{kind:?}/batch1"), || {
+        let mut fp = kind.build(seed);
+        transforms::optimize(&mut fp, &INPUT_DIMS);
+        let fp32 = bench.run(&format!("int_infer/{kind:?}/fp32_batch1"), || {
+            black_box(fp.forward(black_box(&x), Mode::Eval));
+        });
+        let int8 = bench.run(&format!("int_infer/{kind:?}/batch1"), || {
             black_box(ex.run(black_box(&x)));
-        }));
-        report.push(bench.run(&format!("int_infer/{kind:?}/batch1_fused"), || {
+        });
+        let fused = bench.run(&format!("int_infer/{kind:?}/batch1_fused"), || {
             black_box(fex.run(black_box(&x)));
-        }));
+        });
+        let base = fp32.median.as_secs_f64();
+        report.push_metric(&format!("int8_over_fp32/{kind:?}"), int8.median.as_secs_f64() / base);
+        report.push_metric(
+            &format!("int8_fused_over_fp32/{kind:?}"),
+            fused.median.as_secs_f64() / base,
+        );
+        report.push(fp32);
+        report.push(int8);
+        report.push(fused);
         report.push(bench.run(&format!("int_infer/{kind:?}/batch1_rebal_fused"), || {
             black_box(rfex.run(black_box(&x)));
         }));

@@ -375,10 +375,12 @@ fn acc32_inner(
     }
 }
 
-/// True when the AVX2 integer micro-kernel can run on this CPU. The
-/// detection macro caches its answer (one relaxed atomic load per call).
+/// True when the AVX2 integer micro-kernels (this module's and the
+/// engine's narrow lane, [`crate::intgemm::narrow_micro`]) can run on
+/// this CPU. The detection macro caches its answer (one relaxed atomic
+/// load per call).
 #[inline]
-fn has_avx2() -> bool {
+pub fn has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")

@@ -1,41 +1,57 @@
-//! Blocked, pool-parallel `i64 × i64` GEMM with **exact i128
-//! accumulation** — the compute core of the reference [`crate::lower`]
-//! engine's conv/dense fast path.
+//! The integer engine's two GEMM **lanes**, chosen per conv/dense node
+//! by a proof at plan time ([`crate::plan`]), never by a knob:
 //!
-//! The reference engine stores activations as `i64` and must count, per
-//! output element, whether the exact accumulator escaped the i64 range
-//! (`narrow` semantics: truncation equals two's-complement wrapping, so
-//! the stored bits match a pure-i64 engine while the count feeds the
-//! `sanitize` feature and the tqt-verify containment check). That rules
-//! out the narrow `i8` deployment kernel here; instead this is the same
-//! register-blocking idea applied to wide integers: `MRB×NCB` i128
-//! accumulator tiles held on the stack, B rows streamed once per row
-//! tile, and the row-block loop fanned out over the `tqt-rt` pool.
+//! * **Narrow lane** — `i16 × i16 → i32` with `_mm256_madd_epi16`. A
+//!   node runs here when the plan proves every input value and every
+//!   weight fits `i16` and `max|x| · max_row Σ_k |w[row, k]| < 2³¹`, so
+//!   no i32 partial sum can wrap. Conv weights are packed once into
+//!   [`NMR`]-row k-pair panels ([`pack_narrow_conv`], one pair per tap
+//!   and channel pair), dense weights into [`NNR`]-column panels
+//!   ([`pack_narrow_rhs`]); activations are packed per call into
+//!   [`NNR`]-column k-pair panels of `i16` (dense rows by
+//!   [`pack_narrow_lhs`]). The pair layout
+//!   is that of the `i8` deployment kernel in [`crate::gemm_i8`], but
+//!   with `i16` activation panels: post-ReLU unsigned 8-bit values reach
+//!   255, which no `i8` panel holds. [`narrow_micro`] accumulates one
+//!   `NMR × NNR` i32 tile (AVX2 when the CPU has it, a scalar loop over
+//!   the same layout otherwise; the two are bit-identical, wrapping
+//!   included). Each finished accumulator is widened to `i128` and goes
+//!   through the same [`Epilogue`] as the wide lane, so outputs and
+//!   saturation/overflow counts are bit-identical to it.
+//! * **Wide lane** — [`gemm_i64_narrow_fused`]: `i64 × i64` with exact
+//!   `i128` accumulation over `MRB × NCB` stack tiles, narrowed to `i64`
+//!   per element with every out-of-range accumulator counted (`narrow`
+//!   semantics: truncation equals two's-complement wrapping, so stored
+//!   bits match a pure-i64 engine while the count feeds the `sanitize`
+//!   feature and the tqt-verify containment check). It serves every node
+//!   the narrow proof cannot cover — 16-bit grids and inputs on 64-bit
+//!   accumulator formats — and is the oracle the narrow lane is tested
+//!   against (`tests/narrow_lane_parity.rs`).
 //!
-//! **Packed operands.** Either operand may be supplied pre-packed in the
-//! exact panel layout the kernel walks ([`Lhs::Packed`] /
-//! [`Rhs::Packed`], produced by [`pack_lhs`] / [`pack_rhs`]). The
-//! executor's plan packs every conv and dense weight matrix once at
-//! build time ([`crate::plan`]), so per-call packing cost is zero and
-//! the kernel reads weights with unit stride. Packing only permutes the
-//! operand; every product is still accumulated in ascending-`k` order,
-//! so packed and row-major calls are bit-identical.
+//! **Packed operands (wide lane).** Either operand may be supplied
+//! pre-packed in the panel layout the kernel walks ([`Lhs::Packed`] /
+//! [`Rhs::Packed`], from [`pack_lhs`] / [`pack_rhs`]). Packing only
+//! permutes the operand; every product is still accumulated in
+//! ascending-`k` order, so packed and row-major calls are bit-identical.
 //!
-//! **Fused epilogue.** [`gemm_i64_narrow_fused`] additionally applies an
-//! ordered list of [`TileStep`]s to each element while the narrowed
-//! value is still in registers: requantization (with saturation
-//! counting), a residual add (with wrap counting), and (capped) ReLU.
-//! Each step replays the corresponding standalone kernel of
-//! [`crate::plan`] per element, which is what makes graph-level fusion
-//! bit-exact (`tests/fusion_parity.rs`).
+//! **Fused epilogue.** An [`Epilogue`] adds the row/column biases to the
+//! exact accumulator, narrows it, then applies an ordered list of
+//! [`TileStep`]s while the value is still in registers: requantization
+//! (with saturation counting), a residual add (with wrap counting),
+//! (capped) ReLU and leaky ReLU. Each step replays the corresponding
+//! standalone kernel of [`crate::plan`] per element, which is what makes
+//! graph-level fusion bit-exact (`tests/fusion_parity.rs`). The step
+//! list holds no borrowed data, so the plan builds it once per node; the
+//! residual operand is resolved per run.
 //!
-//! **Determinism.** Every output element is accumulated in ascending-`k`
-//! order by exactly one closure invocation, and integer addition is
-//! associative, so serial and parallel runs are bit-identical — including
-//! the overflow *count*, which depends only on each element's exact i128
-//! value. Per-block counts are merged into one [`Counter`] (a sum of
-//! non-negative integers, order-independent).
+//! **Determinism.** Every output element is accumulated by exactly one
+//! closure invocation, and integer addition is associative, so serial
+//! and parallel runs are bit-identical — including the overflow *count*,
+//! which depends only on each element's exact value. Per-block counts
+//! are merged into one [`Counter`] (a sum of non-negative integers,
+//! order-independent).
 
+use crate::gemm_i8::has_avx2;
 use crate::lower::{narrow, LEAKY_ALPHA_FRAC};
 use crate::requant::shift_round;
 use tqt_rt::pool;
@@ -47,6 +63,12 @@ const MRB: usize = 4;
 const NCB: usize = 64;
 /// Rows of C per parallel row block.
 const ROWS_PER_BLOCK: usize = 16;
+
+/// Narrow-lane register-tile rows: the height of a packed weight panel.
+pub const NMR: usize = 6;
+/// Narrow-lane register-tile columns: two 8-lane i32 AVX2 vectors per
+/// accumulator row, the width of a packed activation panel.
+pub const NNR: usize = 16;
 
 /// The left operand: row-major `[m, k]`, or pre-packed by [`pack_lhs`].
 #[derive(Clone, Copy)]
@@ -118,15 +140,15 @@ pub fn pack_rhs(b: &[i64], k: usize, n: usize, dst: &mut [i64]) {
 /// narrowed accumulator (plus biases) is formed. Each variant replays
 /// the corresponding standalone executor kernel bit-for-bit, including
 /// its saturation / wrap counting — the fused-graph parity contract.
-#[derive(Clone, Copy)]
-pub enum TileStep<'a> {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TileStep {
     /// Round-half-even shift by `shift` then clamp to `[qmin, qmax]`,
     /// counting clamped elements (the `Requant` node kernel).
     Requant { shift: i32, qmin: i64, qmax: i64 },
-    /// Exact i128 add of the same-index element of a residual operand,
-    /// narrowed with wrap counting (the `Add` node kernel). The slice is
-    /// indexed by the element's position in the full `[m, n]` output.
-    AddResidual(&'a [i64]),
+    /// Exact i128 add of the same-index element of the
+    /// [`Epilogue::residual`] operand, narrowed with wrap counting (the
+    /// `Add` node kernel).
+    AddResidual,
     /// `max(0)` then `min(cap)` (the `Relu` node kernel; pass
     /// `i64::MAX` for an uncapped ReLU).
     ReluCap(i64),
@@ -134,6 +156,87 @@ pub enum TileStep<'a> {
     /// counting (the `LeakyRelu` node kernel; the element moves to the
     /// `frac + LEAKY_ALPHA_FRAC` grid).
     Leaky(i64),
+}
+
+/// What happens to an exact accumulator before it is stored: per-row and
+/// per-column biases, the `narrow` to i64, then the [`TileStep`]s.
+#[derive(Clone, Copy, Default)]
+pub struct Epilogue<'a> {
+    /// One value per output row (conv channel bias).
+    pub bias_row: Option<&'a [i64]>,
+    /// One value per output column (dense feature bias).
+    pub bias_col: Option<&'a [i64]>,
+    /// Steps applied in order to the narrowed value.
+    pub steps: &'a [TileStep],
+    /// The operand [`TileStep::AddResidual`] reads, indexed like the
+    /// output the kernel writes.
+    pub residual: Option<&'a [i64]>,
+}
+
+impl Epilogue<'_> {
+    /// Checks operand lengths for an `[m, n]` output whose row bias has
+    /// `bias_rows` entries (`m` for a GEMM; the channel count for a conv
+    /// over a batch, whose rows are image-major channels).
+    pub(crate) fn check(&self, m: usize, n: usize, bias_rows: usize) {
+        if let Some(br) = self.bias_row {
+            assert_eq!(br.len(), bias_rows, "row-bias length mismatch");
+        }
+        if let Some(bc) = self.bias_col {
+            assert_eq!(bc.len(), n, "column-bias length mismatch");
+        }
+        if self.steps.contains(&TileStep::AddResidual) {
+            let res = self.residual.map_or(0, <[i64]>::len);
+            assert_eq!(res, m * n, "residual length mismatch");
+        }
+    }
+
+    /// The stored value of one output element: `acc` plus the biases of
+    /// row `row` and column `col`, narrowed, then every step in order
+    /// (residual element `at`). Wraps go to `ovf`, clamps to `sat`.
+    #[inline(always)]
+    pub(crate) fn apply(
+        &self,
+        acc: i128,
+        row: usize,
+        col: usize,
+        at: usize,
+        ovf: &mut u64,
+        sat: &mut u64,
+    ) -> i64 {
+        let mut wide = acc;
+        if let Some(br) = self.bias_row {
+            wide += i128::from(br[row]);
+        }
+        if let Some(bc) = self.bias_col {
+            wide += i128::from(bc[col]);
+        }
+        let mut v = narrow(wide, ovf);
+        for step in self.steps {
+            match *step {
+                TileStep::Requant { shift, qmin, qmax } => {
+                    let r = shift_round(v, shift);
+                    let c = r.clamp(qmin, qmax);
+                    if c != r {
+                        *sat += 1;
+                    }
+                    v = c;
+                }
+                TileStep::AddResidual => {
+                    let res = self.residual.map_or(0, |r| r[at]);
+                    v = narrow(i128::from(v) + i128::from(res), ovf);
+                }
+                TileStep::ReluCap(cap) => {
+                    v = v.max(0).min(cap);
+                }
+                TileStep::Leaky(alpha) => {
+                    let wide = (i128::from(v) << LEAKY_ALPHA_FRAC)
+                        .max(i128::from(v) * i128::from(alpha));
+                    v = narrow(wide, ovf);
+                }
+            }
+        }
+        v
+    }
 }
 
 /// `out[m,n] = narrow(a[m,k] · b[k,n] + bias)` with exact i128
@@ -159,15 +262,18 @@ pub fn gemm_i64_narrow(
     parallel: bool,
 ) {
     let saturated = Counter::new();
+    let epi = Epilogue {
+        bias_row,
+        bias_col,
+        ..Epilogue::default()
+    };
     gemm_i64_narrow_fused(
         m,
         n,
         k,
         Lhs::Rows(a),
         Rhs::Rows(b),
-        bias_row,
-        bias_col,
-        &[],
+        epi,
         out,
         overflowed,
         &saturated,
@@ -176,10 +282,10 @@ pub fn gemm_i64_narrow(
     debug_assert_eq!(saturated.get(), 0, "no epilogue steps, nothing saturates");
 }
 
-/// [`gemm_i64_narrow`] generalized over packed operands and a fused
-/// per-element epilogue. Clamped elements of `Requant` steps are counted
-/// into `saturated`; wrapped narrows (the accumulator itself and any
-/// `AddResidual` step) into `overflowed`.
+/// The wide lane: [`gemm_i64_narrow`] generalized over packed operands
+/// and a fused [`Epilogue`]. Clamped elements of `Requant` steps are
+/// counted into `saturated`; wrapped narrows (the accumulator itself
+/// and any `AddResidual` / `Leaky` step) into `overflowed`.
 ///
 /// # Panics
 ///
@@ -193,9 +299,7 @@ pub fn gemm_i64_narrow_fused(
     k: usize,
     a: Lhs,
     b: Rhs,
-    bias_row: Option<&[i64]>,
-    bias_col: Option<&[i64]>,
-    epi: &[TileStep],
+    epi: Epilogue,
     out: &mut [i64],
     overflowed: &Counter,
     saturated: &Counter,
@@ -210,17 +314,7 @@ pub fn gemm_i64_narrow_fused(
         Rhs::Packed(s) => assert_eq!(s.len(), packed_rhs_len(k, n), "packed rhs length mismatch"),
     }
     assert_eq!(out.len(), m * n, "output length mismatch");
-    if let Some(br) = bias_row {
-        assert_eq!(br.len(), m, "row-bias length mismatch");
-    }
-    if let Some(bc) = bias_col {
-        assert_eq!(bc.len(), n, "column-bias length mismatch");
-    }
-    for step in epi {
-        if let TileStep::AddResidual(res) = step {
-            assert_eq!(res.len(), m * n, "residual length mismatch");
-        }
-    }
+    epi.check(m, n, m);
     if m == 0 || n == 0 {
         return;
     }
@@ -265,41 +359,9 @@ pub fn gemm_i64_narrow_fused(
                     let gi = row0 + rb + r;
                     let orow = (rb + r) * n + jc;
                     for (j, slot) in ochunk[orow..orow + nc].iter_mut().enumerate() {
-                        let mut wide = arow[j];
-                        if let Some(br) = bias_row {
-                            wide += i128::from(br[gi]);
-                        }
-                        if let Some(bc) = bias_col {
-                            wide += i128::from(bc[jc + j]);
-                        }
-                        let mut v = narrow(wide, &mut local_ovf);
-                        for step in epi {
-                            match *step {
-                                TileStep::Requant { shift, qmin, qmax } => {
-                                    let r = shift_round(v, shift);
-                                    let c = r.clamp(qmin, qmax);
-                                    if c != r {
-                                        local_sat += 1;
-                                    }
-                                    v = c;
-                                }
-                                TileStep::AddResidual(res) => {
-                                    v = narrow(
-                                        i128::from(v) + i128::from(res[gi * n + jc + j]),
-                                        &mut local_ovf,
-                                    );
-                                }
-                                TileStep::ReluCap(cap) => {
-                                    v = v.max(0).min(cap);
-                                }
-                                TileStep::Leaky(alpha) => {
-                                    let wide = (i128::from(v) << LEAKY_ALPHA_FRAC)
-                                        .max(i128::from(v) * i128::from(alpha));
-                                    v = narrow(wide, &mut local_ovf);
-                                }
-                            }
-                        }
-                        *slot = v;
+                        let gj = jc + j;
+                        *slot =
+                            epi.apply(arow[j], gi, gj, gi * n + gj, &mut local_ovf, &mut local_sat);
                     }
                 }
             }
@@ -314,6 +376,257 @@ pub fn gemm_i64_narrow_fused(
     } else {
         for (bi, chunk) in out.chunks_mut(ROWS_PER_BLOCK * n).enumerate() {
             run_block(bi * ROWS_PER_BLOCK, chunk);
+        }
+    }
+}
+
+/// Whether `v` can enter a narrow-lane panel: the lane proof admits only
+/// values that fit `i16`.
+pub(crate) fn fits_i16(v: i64) -> bool {
+    i16::try_from(v).is_ok()
+}
+
+/// Narrows a proven-`i16` value into a panel (debug builds check the
+/// proof held).
+#[inline(always)]
+pub(crate) fn to_i16(v: i64) -> i16 {
+    debug_assert!(fits_i16(v), "narrow-lane operand {v} escapes i16");
+    v as i16 // tqt:allow(narrowing-cast): the lane proof bounds every operand to i16
+}
+
+/// `i16` elements of the [`pack_narrow_lhs`] buffer for an `[m, k]`
+/// operand.
+pub const fn narrow_lhs_len(m: usize, k: usize) -> usize {
+    m.div_ceil(NMR) * NMR * k.div_ceil(2) * 2
+}
+
+/// `i16` elements of one [`NNR`]-column k-pair panel of depth `k`.
+pub const fn narrow_panel_len(k: usize) -> usize {
+    k.div_ceil(2) * 2 * NNR
+}
+
+/// `i16` elements of the [`pack_narrow_rhs`] buffer for a `[k, n]`
+/// operand.
+pub const fn narrow_rhs_len(k: usize, n: usize) -> usize {
+    n.div_ceil(NNR) * narrow_panel_len(k)
+}
+
+/// Packs a row-major `[m, k]` left operand into [`NMR`]-row k-pair
+/// panels: `dst[((p*kpairs + kp)*NMR + r)*2 + h] = a[(p*NMR + r)*k +
+/// 2*kp + h]`, so each `(row, k-pair)` is one little-endian `i32` of two
+/// `i16`s — the operand `madd` wants broadcast. Rows past `m` and the
+/// odd-`k` tail are zero.
+///
+/// # Panics
+///
+/// Panics on a length mismatch; debug builds also panic on a value that
+/// does not fit `i16`.
+pub fn pack_narrow_lhs(a: &[i64], m: usize, k: usize, dst: &mut [i16]) {
+    assert_eq!(a.len(), m * k, "lhs length mismatch");
+    assert_eq!(dst.len(), narrow_lhs_len(m, k), "narrow lhs length mismatch");
+    let kpairs = k.div_ceil(2);
+    dst.fill(0);
+    for (i, row) in a.chunks_exact(k.max(1)).take(m).enumerate() {
+        let (p, r) = (i / NMR, i % NMR);
+        for (kk, &v) in row.iter().enumerate() {
+            dst[((p * kpairs + kk / 2) * NMR + r) * 2 + kk % 2] = to_i16(v);
+        }
+    }
+}
+
+/// Packs a row-major `[k, n]` right operand into [`NNR`]-column k-pair
+/// panels: `dst[((q*kpairs + kp)*NNR + j)*2 + h] = b[(2*kp + h)*n +
+/// q*NNR + j]`. Columns past `n` and the odd-`k` tail are zero.
+///
+/// # Panics
+///
+/// As [`pack_narrow_lhs`].
+pub fn pack_narrow_rhs(b: &[i64], k: usize, n: usize, dst: &mut [i16]) {
+    assert_eq!(b.len(), k * n, "rhs length mismatch");
+    assert_eq!(dst.len(), narrow_rhs_len(k, n), "narrow rhs length mismatch");
+    let kpairs = k.div_ceil(2);
+    dst.fill(0);
+    for (kk, row) in b.chunks_exact(n.max(1)).take(k).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            let (q, jj) = (j / NNR, j % NNR);
+            dst[((q * kpairs + kk / 2) * NNR + jj) * 2 + kk % 2] = to_i16(v);
+        }
+    }
+}
+
+/// Reduction depth, in k-pairs, of a narrow-lane conv over `[cout, cin,
+/// kh, kw]` weights: one pair per (tap, channel pair). A conv pairs
+/// channels `(2cp, 2cp + 1)` at the same tap — not consecutive rows of
+/// the im2col matrix — so both halves of an activation pair come from
+/// the same input position and a panel row is two contiguous channel
+/// reads (an odd `cin` pads its last pair with a zero channel).
+pub const fn narrow_conv_kpairs(wdims: [usize; 4]) -> usize {
+    wdims[2] * wdims[3] * wdims[1].div_ceil(2)
+}
+
+/// `i16` elements of the [`pack_narrow_conv`] buffer.
+pub const fn narrow_conv_lhs_len(wdims: [usize; 4]) -> usize {
+    wdims[0].div_ceil(NMR) * NMR * narrow_conv_kpairs(wdims) * 2
+}
+
+/// Packs conv weights `w` (`[cout, cin, kh, kw]`, row-major) into
+/// [`NMR`]-row k-pair panels in the conv reduction order: with `t =
+/// ki·kw + kj` and `kp = t·cpairs + cp`, row `co = p·NMR + r` holds
+/// `(w[co, 2cp, ki, kj], w[co, 2cp+1, ki, kj])` at
+/// `dst[((p*kpairs + kp)*NMR + r)*2 + h]`.
+/// Rows past `cout` and a missing odd channel are zero.
+///
+/// # Panics
+///
+/// As [`pack_narrow_lhs`].
+pub fn pack_narrow_conv(w: &[i64], wdims: [usize; 4], dst: &mut [i16]) {
+    let [cout, cin, kh, kw] = wdims;
+    let (taps, cpairs, kpairs) = (kh * kw, cin.div_ceil(2), narrow_conv_kpairs(wdims));
+    assert_eq!(w.len(), cout * cin * taps, "conv weight length mismatch");
+    assert_eq!(dst.len(), narrow_conv_lhs_len(wdims), "narrow conv panel length mismatch");
+    dst.fill(0);
+    for (i, &v) in w.iter().enumerate() {
+        let (co, ci, t) = (i / (cin * taps), i / taps % cin, i % taps);
+        let (p, r, kp) = (co / NMR, co % NMR, t * cpairs + ci / 2);
+        dst[((p * kpairs + kp) * NMR + r) * 2 + ci % 2] = to_i16(v);
+    }
+}
+
+/// The narrow-lane micro-kernel: `acc[r*NNR + j] = Σ_kp a(kp, r, 0)·b(kp,
+/// j, 0) + a(kp, r, 1)·b(kp, j, 1)` over one [`NMR`]-row weight panel
+/// and one [`NNR`]-column activation panel of `kpairs` k-pairs, both in
+/// the [`pack_narrow_lhs`] / [`pack_narrow_rhs`] layouts. `avx` allows
+/// the AVX2 `madd_epi16` kernel, which runs only when [`has_avx2`] also
+/// confirms the CPU has it; otherwise the scalar loop runs. The scalar
+/// loop computes the same wrapping i32 sums, so the two are
+/// bit-identical even where the lane proof does not hold.
+///
+/// # Panics
+///
+/// Panics if a panel is shorter than `kpairs` k-pairs.
+#[inline]
+pub fn narrow_micro(
+    kpairs: usize,
+    apanel: &[i16],
+    bpanel: &[i16],
+    acc: &mut [i32; NMR * NNR],
+    avx: bool,
+) {
+    assert!(
+        apanel.len() >= kpairs * NMR * 2 && bpanel.len() >= kpairs * NNR * 2,
+        "narrow panel shorter than its k depth"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx && has_avx2() {
+        // SAFETY: has_avx2() confirmed the feature just above; panel
+        // lengths are checked above.
+        unsafe { narrow_micro_avx2(kpairs, apanel.as_ptr(), bpanel.as_ptr(), acc) }; // tqt:allow(unsafe): AVX2 dispatch guarded by runtime feature detection; panel bounds asserted above
+        return;
+    }
+    let _ = avx;
+    acc.fill(0);
+    for (a, b) in apanel
+        .chunks_exact(NMR * 2)
+        .zip(bpanel.chunks_exact(NNR * 2))
+        .take(kpairs)
+    {
+        for (pair, arow) in a.chunks_exact(2).zip(acc.chunks_exact_mut(NNR)) {
+            let (a0, a1) = (i32::from(pair[0]), i32::from(pair[1]));
+            if a0 == 0 && a1 == 0 {
+                continue;
+            }
+            for (sum, bp) in arow.iter_mut().zip(b.chunks_exact(2)) {
+                let prod = (a0 * i32::from(bp[0])).wrapping_add(a1 * i32::from(bp[1]));
+                *sum = sum.wrapping_add(prod);
+            }
+        }
+    }
+}
+
+/// AVX2 6×16 narrow micro-kernel: 12 ymm i32 accumulators live across
+/// the whole k loop; per k-pair, two 32-byte activation loads and six
+/// broadcast + `madd_epi16` + `add_epi32` chains.
+///
+/// # Safety
+///
+/// Caller must guarantee the CPU supports `avx2` and that
+/// `apanel`/`bpanel` point at `kpairs*NMR*2` / `kpairs*NNR*2` `i16`s.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn narrow_micro_avx2(
+    kpairs: usize,
+    apanel: *const i16,
+    bpanel: *const i16,
+    acc: &mut [i32; NMR * NNR],
+) {
+    use std::arch::x86_64::*;
+    let mut c: [[__m256i; 2]; NMR] = [[_mm256_setzero_si256(); 2]; NMR];
+    for p in 0..kpairs {
+        // Pair-interleaved i16 columns 0..8 and 8..16: exactly the operand
+        // layout madd_epi16 pairs up.
+        let b_lo = _mm256_loadu_si256(bpanel.add(p * 2 * NNR).cast());
+        let b_hi = _mm256_loadu_si256(bpanel.add(p * 2 * NNR + NNR).cast());
+        for (r, cr) in c.iter_mut().enumerate() {
+            // Broadcast the (a0, a1) i16 pair to all lanes; madd computes
+            // a0*b(k0,j) + a1*b(k1,j) in i32.
+            let pair = apanel.add((p * NMR + r) * 2).cast::<i32>().read_unaligned();
+            let av = _mm256_set1_epi32(pair);
+            cr[0] = _mm256_add_epi32(cr[0], _mm256_madd_epi16(av, b_lo));
+            cr[1] = _mm256_add_epi32(cr[1], _mm256_madd_epi16(av, b_hi));
+        }
+    }
+    for (r, cr) in c.iter().enumerate() {
+        _mm256_storeu_si256(acc.as_mut_ptr().add(r * NNR).cast(), cr[0]);
+        _mm256_storeu_si256(acc.as_mut_ptr().add(r * NNR + 8).cast(), cr[1]);
+    }
+}
+
+/// The narrow lane over two packed operands: `out[m,n]` = the
+/// [`Epilogue`] of `a[m,k] · b[k,n]`, with `a` in [`pack_narrow_lhs`]
+/// and `b` in [`pack_narrow_rhs`] layout. Runs on the calling thread
+/// (its callers parallelize over images and column panels); counts go
+/// to `ovf` / `sat` like the wide lane's.
+///
+/// # Panics
+///
+/// Panics if a length disagrees with the dimensions.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_narrow_packed(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[i16],
+    b: &[i16],
+    epi: Epilogue,
+    out: &mut [i64],
+    ovf: &mut u64,
+    sat: &mut u64,
+) {
+    assert_eq!(a.len(), narrow_lhs_len(m, k), "narrow lhs length mismatch");
+    assert_eq!(b.len(), narrow_rhs_len(k, n), "narrow rhs length mismatch");
+    assert_eq!(out.len(), m * n, "output length mismatch");
+    epi.check(m, n, m);
+    let kpairs = k.div_ceil(2);
+    let avx = has_avx2();
+    let mut acc = [0i32; NMR * NNR];
+    let (alen, blen) = (kpairs * NMR * 2, narrow_panel_len(k));
+    for q in 0..n.div_ceil(NNR) {
+        let (j0, nc) = (q * NNR, NNR.min(n - q * NNR));
+        for p in 0..m.div_ceil(NMR) {
+            narrow_micro(
+                kpairs,
+                &a[p * alen..(p + 1) * alen],
+                &b[q * blen..(q + 1) * blen],
+                &mut acc,
+                avx,
+            );
+            for r in 0..NMR.min(m - p * NMR) {
+                let gi = p * NMR + r;
+                for j in 0..nc {
+                    let v = i128::from(acc[r * NNR + j]);
+                    out[gi * n + j0 + j] = epi.apply(v, gi, j0 + j, gi * n + j0 + j, ovf, sat);
+                }
+            }
         }
     }
 }
@@ -371,7 +684,16 @@ mod tests {
                 let mut got = vec![0i64; m * n];
                 let (ovf, sat) = (Counter::new(), Counter::new());
                 gemm_i64_narrow_fused(
-                    m, n, k, la, lb, None, None, &[], &mut got, &ovf, &sat, false,
+                    m,
+                    n,
+                    k,
+                    la,
+                    lb,
+                    Epilogue::default(),
+                    &mut got,
+                    &ovf,
+                    &sat,
+                    false,
                 );
                 assert_eq!(want, got, "shape ({m},{n},{k})");
             }
@@ -421,24 +743,27 @@ mod tests {
         let res = vec![1i64, -200, 3, 4];
         let mut got = vec![0i64; 4];
         let (ovf, sat) = (Counter::new(), Counter::new());
-        let epi = [
+        let steps = [
             TileStep::Requant {
                 shift: 2,
                 qmin: -128,
                 qmax: 127,
             },
-            TileStep::AddResidual(&res),
+            TileStep::AddResidual,
             TileStep::ReluCap(30),
         ];
+        let epi = Epilogue {
+            steps: &steps,
+            residual: Some(&res),
+            ..Epilogue::default()
+        };
         gemm_i64_narrow_fused(
             2,
             2,
             2,
             Lhs::Rows(&a),
             Rhs::Rows(&b),
-            None,
-            None,
-            &epi,
+            epi,
             &mut got,
             &ovf,
             &sat,
@@ -453,20 +778,22 @@ mod tests {
         // Same, but with a clamp-visible narrow format.
         let mut got = vec![0i64; 4];
         let (ovf, sat) = (Counter::new(), Counter::new());
-        let epi = [TileStep::Requant {
+        let steps = [TileStep::Requant {
             shift: 2,
             qmin: -16,
             qmax: 15,
         }];
+        let epi = Epilogue {
+            steps: &steps,
+            ..Epilogue::default()
+        };
         gemm_i64_narrow_fused(
             2,
             2,
             2,
             Lhs::Rows(&a),
             Rhs::Rows(&b),
-            None,
-            None,
-            &epi,
+            epi,
             &mut got,
             &ovf,
             &sat,

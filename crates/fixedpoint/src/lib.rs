@@ -9,9 +9,11 @@
 //! * [`kernels`] — naive narrow `i8` kernels (the oracle/baseline);
 //! * [`gemm_i8`] — the blocked, packed, SIMD-dispatched `i8` GEMM whose
 //!   epilogue fuses bias, zero-point corrections, and requantization;
-//! * [`intgemm`] — the blocked exact-i128 `i64` GEMM behind the
-//!   reference engine's conv/dense path;
-//! * [`mod@plan`] — static execution plans and the buffer-reusing
+//! * [`intgemm`] — the engine's two conv/dense GEMM lanes: the proven
+//!   `i16 × i16 → i32` `madd` lane and the exact-i128 `i64` lane for
+//!   every node the proof cannot cover;
+//! * [`mod@plan`] — static execution plans (slot assignment, per-node
+//!   GEMM lane proofs, packed weights) and the buffer-reusing
 //!   [`IntExecutor`] for repeated integer inference;
 //! * [`mod@lower`] with the [`lower()`](lower::lower) entry point — lowering a quantized float graph to an [`IntGraph`]
 //!   that is bit-exact to the baked float inference graph (the paper's
@@ -46,5 +48,5 @@ pub use lower::{
     lower, lower_with_provenance, EpiStep, IntGraph, NodeProv, NodeStats, Provenance, RoundMode,
     RunStats,
 };
-pub use plan::{IntExecutor, IntPlan};
+pub use plan::{IntExecutor, IntPlan, Lane};
 pub use qtensor::{QFormat, QTensor};

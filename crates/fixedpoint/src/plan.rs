@@ -1,34 +1,50 @@
 //! Execution planning and the buffer-reusing executor for [`IntGraph`].
 //!
-//! [`IntGraph::run_with_stats`] used to allocate a fresh `QTensor` per
-//! node per run. For repeated inference (benchmarks, the verify gate's
-//! probe runs, deployment-style serving loops) that is pure overhead: the
-//! graph is static, so every node's output shape, Q-format, and lifetime
-//! are known before the first run. [`IntPlan`] computes exactly that —
-//! shapes and formats by static inference (mirroring the runtime rules
-//! one-to-one), then a liveness pass that assigns nodes to a small set of
-//! reusable buffer *slots*: a node's buffer is recycled as soon as its
-//! last consumer has executed. [`IntExecutor`] owns one allocation per
-//! slot and reuses it across nodes *and* across runs.
+//! The graph is static, so every node's output shape, Q-format and
+//! lifetime are known before the first run. [`IntPlan`] computes exactly
+//! that — shapes and formats by static inference (mirroring the runtime
+//! rules one-to-one), then a liveness pass that assigns nodes to a small
+//! set of reusable buffer *slots*: a node's buffer is recycled as soon as
+//! its last consumer has executed. [`IntExecutor`] owns one allocation
+//! per slot and reuses it across nodes *and* across runs.
 //!
-//! The op kernels here are the engine's hot path and are parallelized
-//! over the `tqt-rt` pool with **fixed-size blocks**, so the work
-//! partition — and therefore every i128 accumulation order and every
+//! **Lanes.** Activations are stored as `i64`, but the arithmetic is
+//! only as wide as the plan can prove it must be. Each conv/dense node
+//! gets a [`Lane`] at plan time: [`Lane::Narrow`] — an `i16 × i16 → i32`
+//! `madd` GEMM ([`crate::intgemm::narrow_micro`]) — when every value of
+//! the node's input format and every weight fits `i16` and `max|x| ·
+//! max_row Σ|w| < 2³¹`; [`Lane::Wide`] — the exact-`i128` GEMM — for
+//! every other node. The proof alone decides; there is no knob. The
+//! plan packs each node's weights once, in the chosen lane's panel
+//! layout only, into a plan-owned arena. Depthwise convs take the same
+//! proof per channel and accumulate proven channels in `i32`. Every
+//! lane widens its accumulator to `i128` before the shared bias/narrow/
+//! epilogue, so outputs and saturation/overflow counts do not depend on
+//! the lane (`tests/narrow_lane_parity.rs`), and the plan verifier
+//! re-proves each narrow lane independently (`TQT-V018`).
+//!
+//! The op kernels are the engine's hot path and are parallelized over
+//! the `tqt-rt` pool with **fixed-size blocks** (narrow convs over
+//! `(image, column tile)`), so the work partition — and therefore every
 //! saturation/overflow count — is independent of the thread count.
 //! Serial and parallel runs are bit-identical; counters are merged
 //! through order-independent `tqt_rt::sync::Counter` sums.
 
 use crate::intgemm::{
-    gemm_i64_narrow_fused, pack_lhs, pack_rhs, packed_lhs_len, packed_rhs_len, Lhs, Rhs, TileStep,
+    fits_i16, gemm_i64_narrow_fused, gemm_narrow_packed, narrow_conv_kpairs,
+    narrow_conv_lhs_len, narrow_lhs_len, narrow_micro, narrow_panel_len, narrow_rhs_len, pack_lhs,
+    pack_narrow_conv, pack_narrow_lhs, pack_narrow_rhs, pack_rhs, packed_lhs_len, packed_rhs_len,
+    to_i16, Epilogue, Lhs, Rhs, TileStep, NMR, NNR,
 };
-use crate::lower::{narrow, EpiStep, IntGraph, IntOp, RunStats, LEAKY_ALPHA_FRAC};
+use crate::gemm_i8::has_avx2;
+use crate::lower::{narrow, EpiStep, IntGraph, IntNode, IntOp, RunStats, LEAKY_ALPHA_FRAC};
 use crate::qtensor::{QFormat, QTensor};
 use crate::requant::shift_round;
 use tqt_quant::round_half_even;
 use tqt_rt::pool;
 use tqt_rt::sync::Counter;
 use tqt_tensor::conv::{im2col_into, Conv2dGeom};
-use tqt_tensor::scratch::ScratchI64;
+use tqt_tensor::scratch::{ScratchI16, ScratchI64};
 use tqt_tensor::Tensor;
 
 /// Fixed block size for parallel elementwise kernels. Constant (never
@@ -45,9 +61,132 @@ fn core_op(op: &IntOp) -> &IntOp {
     }
 }
 
+/// The GEMM lane a conv/dense node runs on, chosen at plan time by the
+/// narrow-lane proof (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Lane {
+    /// `i16 × i16 → i32` `madd` GEMM: the plan proved `|acc| < 2³¹`.
+    Narrow,
+    /// `i64 × i64` GEMM with exact `i128` accumulation.
+    Wide,
+}
+
+/// Where a conv/dense node's packed weights live: its lane, and the
+/// `(offset, len)` of its panels in that lane's arena.
+#[derive(Debug, Clone, Copy)]
+struct Panel {
+    lane: Lane,
+    off: usize,
+    len: usize,
+}
+
+/// Largest magnitude a value of format `f` can take.
+fn max_abs(f: QFormat) -> u64 {
+    f.qmin().unsigned_abs().max(f.qmax().unsigned_abs())
+}
+
+/// `Σ|w|` over one weight row (saturating: a sum that large is never
+/// narrow anyway).
+fn l1(row: impl Iterator<Item = i64>) -> u64 {
+    row.fold(0u64, |s, v| s.saturating_add(v.unsigned_abs()))
+}
+
+/// The narrow-lane proof for weights `w` (row sums `row_l1`) over input
+/// format `f`: every input value and every weight fits `i16`, and
+/// `max|x| · Σ_k |w[row, k]| < 2³¹` for every row, so no i32 partial
+/// sum can wrap.
+fn lane_of(f: QFormat, w: &[i64], mut row_l1: impl Iterator<Item = u64>) -> Lane {
+    let xmax = max_abs(f);
+    let proven = xmax <= i16::MAX as u64
+        && w.iter().all(|&v| fits_i16(v))
+        && row_l1.all(|s| u128::from(xmax) * u128::from(s) < 1 << 31);
+    if proven {
+        Lane::Narrow
+    } else {
+        Lane::Wide
+    }
+}
+
+/// Appends one zeroed `len`-element panel to `arena`, fills it with
+/// `pack`, and returns its offset.
+fn push_panel<T: Copy + Default>(
+    arena: &mut Vec<T>,
+    len: usize,
+    pack: impl FnOnce(&mut [T]),
+) -> usize {
+    let off = arena.len();
+    arena.resize(off + len, T::default());
+    pack(&mut arena[off..]);
+    off
+}
+
+/// Resolves a fused node's graph-level epilogue into tile steps against
+/// the chain's running fractional length (shifts are relative, formats
+/// absolute). `in_frac` is the core's input format.
+fn tile_steps(core: &IntOp, epi: &[EpiStep], in_frac: i32) -> Vec<TileStep> {
+    let w_frac = match core {
+        IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => *w_frac,
+        other => panic!("fused core must be conv or dense, got {other:?}"),
+    };
+    let mut cur_frac = in_frac + w_frac;
+    epi.iter()
+        .map(|step| match step {
+            EpiStep::Requant { format } => {
+                let shift = cur_frac - format.frac;
+                cur_frac = format.frac;
+                TileStep::Requant {
+                    shift,
+                    qmin: format.qmin(),
+                    qmax: format.qmax(),
+                }
+            }
+            EpiStep::AddResidual => TileStep::AddResidual,
+            EpiStep::Relu { cap_q } => TileStep::ReluCap(cap_q.unwrap_or(i64::MAX)),
+            EpiStep::LeakyRelu { alpha_q } => {
+                cur_frac += LEAKY_ALPHA_FRAC;
+                TileStep::Leaky(*alpha_q)
+            }
+        })
+        .collect()
+}
+
+/// High-water marks of the executor's scratch checkouts, the only
+/// workspace outside the slot buffers: `(wide, narrow)` = the wide
+/// lane's per-image `i64` im2col columns, and the narrow lane's `i16`
+/// panels (one activation panel per conv column tile; a dense node's
+/// packed input rows).
+fn scratch_high_water(
+    nodes: &[IntNode],
+    shapes: &[Vec<usize>],
+    panels: &[Option<Panel>],
+) -> (usize, usize) {
+    let (mut wide, mut narrow) = (0usize, 0usize);
+    for (node, panel) in nodes.iter().zip(panels) {
+        let (Some(p), Some(&i0)) = (panel, node.inputs.first()) else {
+            continue;
+        };
+        let ish = &shapes[i0];
+        match (core_op(&node.op), p.lane) {
+            (IntOp::Conv { geom, .. }, Lane::Wide) => {
+                let (oh, ow) = geom.out_size(ish[2], ish[3]);
+                wide = wide.max(ish[1] * geom.kh * geom.kw * oh * ow);
+            }
+            (IntOp::Conv { wdims, .. }, Lane::Narrow) => {
+                narrow = narrow.max(narrow_panel_len(2 * narrow_conv_kpairs(*wdims)));
+            }
+            (IntOp::Dense { in_dim, .. }, Lane::Narrow) => {
+                narrow = narrow.max(narrow_lhs_len(ish[0], *in_dim));
+            }
+            _ => {}
+        }
+    }
+    (wide, narrow)
+}
+
 /// A static execution plan for one [`IntGraph`] at one input shape:
-/// per-node output shapes and Q-formats, plus a liveness-based assignment
-/// of nodes to reusable buffer slots.
+/// per-node output shapes and Q-formats, a liveness-based assignment of
+/// nodes to reusable buffer slots, each conv/dense node's proven lane
+/// with its packed weights, and each fused node's resolved epilogue.
 #[derive(Debug)]
 pub struct IntPlan {
     input_dims: Vec<usize>,
@@ -56,16 +195,25 @@ pub struct IntPlan {
     lens: Vec<usize>,
     slot: Vec<usize>,
     slot_lens: Vec<usize>,
+    /// High-water mark of the wide lane's per-image `i64` im2col
+    /// checkout.
     scratch_elems: usize,
-    /// Plan-owned weight arena: every conv/dense weight matrix (fused or
-    /// not), packed once at build time into the exact panel layout the
-    /// blocked GEMM consumes ([`pack_lhs`] for conv, [`pack_rhs`] for
-    /// dense). Read-only after construction, so any number of executors
-    /// may share one plan ([`IntExecutor::with_plan`]) without
+    /// High-water mark of the narrow lane's `i16` activation-panel
+    /// checkout.
+    narrow_scratch_elems: usize,
+    /// Plan-owned weight arenas: every conv/dense weight matrix (fused or
+    /// not), packed once at build time in its lane's panel layout only.
+    /// Read-only after construction, so any number of executors may
+    /// share one plan ([`IntExecutor::with_plan`]) without
     /// synchronization.
     wpack: Vec<i64>,
-    /// Per-node `(offset, len)` of the node's packed panels in `wpack`.
-    wpack_at: Vec<Option<(usize, usize)>>,
+    npack: Vec<i16>,
+    /// Per node: lane and panel extent (conv/dense cores only).
+    panels: Vec<Option<Panel>>,
+    /// Per node: the fused epilogue as tile steps (empty when unfused).
+    epis: Vec<Vec<TileStep>>,
+    /// Per depthwise node: which channels the narrow proof covers.
+    dw_narrow: Vec<Vec<bool>>,
 }
 
 impl IntPlan {
@@ -246,46 +394,49 @@ impl IntPlan {
         }
         let lens: Vec<usize> = shapes.iter().map(|s| s.iter().product()).collect();
 
-        // High-water mark of the per-image im2col scratch checkout
-        // (`conv_into`): the only executor workspace that lives outside
-        // the slot buffers. Recorded so the plan verifier can prove the
-        // scratch arena never doubles as slot storage. Fused nodes run
-        // their conv core through the same im2col path.
-        let mut scratch_elems = 0usize;
-        for node in nodes {
-            if let IntOp::Conv {
-                geom,
-                depthwise: false,
-                ..
-            } = core_op(&node.op)
-            {
-                let ish = &shapes[node.inputs[0]];
-                let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                scratch_elems = scratch_elems.max(ish[1] * geom.kh * geom.kw * oh * ow);
-            }
-        }
-
-        // Plan-owned weight arena: pack every conv/dense weight matrix
-        // (fused or not) once, in the exact panel layout the blocked GEMM
-        // walks, so per-call packing cost is zero. Packing only permutes
-        // the operand — accumulation order is unchanged, so results are
-        // bit-identical to the row-major path.
-        let mut wpack: Vec<i64> = Vec::new();
-        let mut wpack_at: Vec<Option<(usize, usize)>> = vec![None; n];
+        // Lanes and the plan-owned weight arenas: prove each conv/dense
+        // core narrow or not against its input format, then pack its
+        // weights once, in that lane's panel layout only, so per-call
+        // packing cost is zero. Packing only permutes the operand.
+        let mut panels: Vec<Option<Panel>> = vec![None; n];
+        let mut dw_narrow: Vec<Vec<bool>> = vec![Vec::new(); n];
+        let (mut wpack, mut npack): (Vec<i64>, Vec<i16>) = (Vec::new(), Vec::new());
         for (id, node) in nodes.iter().enumerate() {
-            match core_op(&node.op) {
+            let Some(&i0) = node.inputs.first() else {
+                continue;
+            };
+            let f = formats[i0];
+            panels[id] = match core_op(&node.op) {
                 IntOp::Conv {
                     w,
                     wdims,
-                    depthwise: false,
+                    depthwise: true,
                     ..
                 } => {
-                    let krows = wdims[1] * wdims[2] * wdims[3];
-                    let len = packed_lhs_len(wdims[0], krows);
-                    let off = wpack.len();
-                    wpack.resize(off + len, 0);
-                    pack_lhs(w, wdims[0], krows, &mut wpack[off..]);
-                    wpack_at[id] = Some((off, len));
+                    let taps = (wdims[2] * wdims[3]).max(1);
+                    dw_narrow[id] = w
+                        .chunks(taps)
+                        .map(|wk| lane_of(f, wk, std::iter::once(l1(wk.iter().copied()))))
+                        .map(|lane| lane == Lane::Narrow)
+                        .collect();
+                    None
+                }
+                IntOp::Conv { w, wdims, .. } => {
+                    let (m, k) = (wdims[0], wdims[1] * wdims[2] * wdims[3]);
+                    let lane = lane_of(f, w, w.chunks(k.max(1)).map(|r| l1(r.iter().copied())));
+                    Some(match lane {
+                        Lane::Narrow => {
+                            let len = narrow_conv_lhs_len(*wdims);
+                            let off =
+                                push_panel(&mut npack, len, |d| pack_narrow_conv(w, *wdims, d));
+                            Panel { lane, off, len }
+                        }
+                        Lane::Wide => {
+                            let len = packed_lhs_len(m, k);
+                            let off = push_panel(&mut wpack, len, |d| pack_lhs(w, m, k, d));
+                            Panel { lane, off, len }
+                        }
+                    })
                 }
                 IntOp::Dense {
                     w,
@@ -293,15 +444,35 @@ impl IntPlan {
                     out_dim,
                     ..
                 } => {
-                    let len = packed_rhs_len(*in_dim, *out_dim);
-                    let off = wpack.len();
-                    wpack.resize(off + len, 0);
-                    pack_rhs(w, *in_dim, *out_dim, &mut wpack[off..]);
-                    wpack_at[id] = Some((off, len));
+                    let (k, m) = (*in_dim, *out_dim);
+                    let cols = (0..m).map(|o| l1(w.iter().skip(o).step_by(m.max(1)).copied()));
+                    let lane = lane_of(f, w, cols);
+                    Some(match lane {
+                        Lane::Narrow => {
+                            let len = narrow_rhs_len(k, m);
+                            let off = push_panel(&mut npack, len, |d| pack_narrow_rhs(w, k, m, d));
+                            Panel { lane, off, len }
+                        }
+                        Lane::Wide => {
+                            let len = packed_rhs_len(k, m);
+                            let off = push_panel(&mut wpack, len, |d| pack_rhs(w, k, m, d));
+                            Panel { lane, off, len }
+                        }
+                    })
                 }
-                _ => {}
-            }
+                _ => None,
+            };
         }
+        wpack.shrink_to_fit();
+        npack.shrink_to_fit();
+        let (scratch_elems, narrow_scratch_elems) = scratch_high_water(nodes, &shapes, &panels);
+        let epis: Vec<Vec<TileStep>> = nodes
+            .iter()
+            .map(|node| match &node.op {
+                IntOp::Fused { core, epi } => tile_steps(core, epi, formats[node.inputs[0]].frac),
+                _ => Vec::new(),
+            })
+            .collect();
 
         // Liveness-based slot assignment via the shared dtype-generic
         // planner: one single-write tape step per node (write its own
@@ -323,8 +494,12 @@ impl IntPlan {
             slot,
             slot_lens,
             scratch_elems,
+            narrow_scratch_elems,
             wpack,
-            wpack_at,
+            npack,
+            panels,
+            epis,
+            dw_narrow,
         }
     }
 
@@ -379,47 +554,201 @@ impl IntPlan {
         &self.input_dims
     }
 
-    /// High-water mark (elements) of the executor's im2col scratch
-    /// checkout — workspace held in the thread-local arena, disjoint from
-    /// the slot buffers by construction. The plan verifier re-derives
-    /// this number independently (`TQT-V018`).
+    /// High-water mark (elements) of the wide lane's per-image `i64`
+    /// im2col checkout — workspace held in the thread-local arena,
+    /// disjoint from the slot buffers by construction. The plan verifier
+    /// re-derives this number independently (`TQT-V018`).
     pub fn scratch_elems(&self) -> usize {
         self.scratch_elems
     }
 
-    /// Total elements of the plan-owned packed weight arena (read-only
-    /// after construction; shared by every executor on this plan).
-    pub fn weight_arena_elems(&self) -> usize {
-        self.wpack.len()
+    /// High-water mark (elements) of the narrow lane's `i16` panel
+    /// checkout: one activation panel per conv column tile, or a dense
+    /// node's packed input rows (`TQT-V018` re-derives it).
+    pub fn narrow_scratch_elems(&self) -> usize {
+        self.narrow_scratch_elems
     }
 
-    /// `(offset, len)` of node `id`'s packed weight panels in the arena,
-    /// or `None` for nodes without a packed GEMM operand. The plan
+    /// Total elements of the plan-owned packed weight arenas, both lanes
+    /// (read-only after construction; shared by every executor on this
+    /// plan).
+    pub fn weight_arena_elems(&self) -> usize {
+        self.wpack.len() + self.npack.len()
+    }
+
+    /// Elements of one lane's weight arena (`i64` for [`Lane::Wide`],
+    /// `i16` for [`Lane::Narrow`]).
+    pub fn arena_elems(&self, lane: Lane) -> usize {
+        match lane {
+            Lane::Narrow => self.npack.len(),
+            Lane::Wide => self.wpack.len(),
+        }
+    }
+
+    /// The lane node `id` runs on, or `None` for nodes without a packed
+    /// GEMM operand (everything but non-depthwise conv and dense cores).
+    pub fn lane(&self, id: usize) -> Option<Lane> {
+        self.panels[id].map(|p| p.lane)
+    }
+
+    /// `(offset, len)` of node `id`'s packed weight panels in its lane's
+    /// arena, or `None` for nodes without a packed GEMM operand. The plan
     /// verifier re-derives these extents independently (`TQT-V018`).
     pub fn weight_panel(&self, id: usize) -> Option<(usize, usize)> {
-        self.wpack_at[id]
+        self.panels[id].map(|p| (p.off, p.len))
     }
 
-    /// The packed panels of node `id`, if any.
-    pub fn weight_panel_data(&self, id: usize) -> Option<&[i64]> {
-        self.wpack_at[id].map(|(off, len)| &self.wpack[off..off + len])
+    /// Which channels of depthwise node `id` accumulate in `i32` (empty
+    /// for every other node).
+    pub fn depthwise_narrow(&self, id: usize) -> &[bool] {
+        &self.dw_narrow[id]
     }
 
-    /// Node `id`'s GEMM left operand: its arena panels when packed, the
-    /// row-major weights otherwise.
-    fn panel_lhs<'a>(&'a self, id: usize, w: &'a [i64]) -> Lhs<'a> {
-        match self.wpack_at[id] {
-            Some((off, len)) => Lhs::Packed(&self.wpack[off..off + len]),
-            None => Lhs::Rows(w),
+    /// The fused epilogue of node `id`, resolved to tile steps at plan
+    /// time (empty for unfused nodes).
+    pub fn tile_steps(&self, id: usize) -> &[TileStep] {
+        &self.epis[id]
+    }
+
+    /// Runs node `id`'s compute core (`core`, the node's op or its fused
+    /// core) over input `a` of shape `ish` on the node's lane, with the
+    /// epilogue `epi` (steps and residual; the core's bias is added
+    /// here). Returns `(wrapped, saturated)` counts.
+    fn run_core(
+        &self,
+        id: usize,
+        core: &IntOp,
+        a: &[i64],
+        ish: &[usize],
+        epi: Epilogue,
+        out: &mut [i64],
+    ) -> (u64, u64) {
+        match (core, self.panels[id]) {
+            (
+                IntOp::Conv {
+                    w,
+                    bias,
+                    geom,
+                    depthwise: true,
+                    ..
+                },
+                _,
+            ) => {
+                let epi = Epilogue {
+                    bias_row: bias.as_deref(),
+                    ..epi
+                };
+                depthwise_into(a, ish, w, *geom, &self.dw_narrow[id], epi, out)
+            }
+            (
+                IntOp::Conv {
+                    wdims, bias, geom, ..
+                },
+                Some(p),
+            ) => {
+                let epi = Epilogue {
+                    bias_row: bias.as_deref(),
+                    ..epi
+                };
+                let (wdims, geom) = (*wdims, *geom);
+                match p.lane {
+                    Lane::Narrow => {
+                        let w = &self.npack[p.off..p.off + p.len];
+                        conv_narrow_into(a, ish, w, wdims, geom, epi, out)
+                    }
+                    Lane::Wide => {
+                        let w = &self.wpack[p.off..p.off + p.len];
+                        conv_into(a, ish, w, wdims, geom, epi, out)
+                    }
+                }
+            }
+            (
+                IntOp::Dense {
+                    in_dim,
+                    out_dim,
+                    bias,
+                    ..
+                },
+                Some(p),
+            ) => {
+                let epi = Epilogue {
+                    bias_col: bias.as_deref(),
+                    ..epi
+                };
+                let (ovf, sat) = (Counter::new(), Counter::new());
+                match p.lane {
+                    Lane::Narrow => {
+                        let mut apack = ScratchI16::uninit(narrow_lhs_len(ish[0], *in_dim));
+                        pack_narrow_lhs(a, ish[0], *in_dim, &mut apack);
+                        let (mut o, mut s) = (0, 0);
+                        let b = &self.npack[p.off..p.off + p.len];
+                        gemm_narrow_packed(
+                            ish[0], *out_dim, *in_dim, &apack, b, epi, out, &mut o, &mut s,
+                        );
+                        ovf.add(o);
+                        sat.add(s);
+                    }
+                    Lane::Wide => gemm_i64_narrow_fused(
+                        ish[0],
+                        *out_dim,
+                        *in_dim,
+                        Lhs::Rows(a),
+                        Rhs::Packed(&self.wpack[p.off..p.off + p.len]),
+                        epi,
+                        out,
+                        &ovf,
+                        &sat,
+                        true,
+                    ),
+                }
+                (ovf.get(), sat.get())
+            }
+            (other, _) => panic!("node {id}: no packed GEMM core for {other:?}"),
         }
     }
 
-    /// Node `id`'s GEMM right operand, packed or row-major.
-    fn panel_rhs<'a>(&'a self, id: usize, w: &'a [i64]) -> Rhs<'a> {
-        match self.wpack_at[id] {
-            Some((off, len)) => Rhs::Packed(&self.wpack[off..off + len]),
-            None => Rhs::Rows(w),
-        }
+    /// Test-only mutation hook: moves the first wide-lane GEMM node onto
+    /// the narrow lane (with a zeroed panel of the narrow length, and the
+    /// scratch accounting updated to match), simulating a planner that
+    /// skipped the narrow-lane proof. Returns the node, or `None` if
+    /// every GEMM node is already narrow. The mutated plan must never be
+    /// executed — it exists to prove the plan verifier refutes it
+    /// (`TQT-V018`).
+    #[doc(hidden)]
+    pub fn inject_unproven_narrow(&mut self, g: &IntGraph) -> Option<usize> {
+        let nodes = g.nodes();
+        let id = (0..nodes.len()).find(|&id| self.lane(id) == Some(Lane::Wide))?;
+        let len = match core_op(&nodes[id].op) {
+            IntOp::Conv { wdims, .. } => narrow_conv_lhs_len(*wdims),
+            IntOp::Dense { in_dim, out_dim, .. } => narrow_rhs_len(*in_dim, *out_dim),
+            _ => return None,
+        };
+        let off = push_panel(&mut self.npack, len, |_| {});
+        self.panels[id] = Some(Panel {
+            lane: Lane::Narrow,
+            off,
+            len,
+        });
+        (self.scratch_elems, self.narrow_scratch_elems) =
+            scratch_high_water(nodes, &self.shapes, &self.panels);
+        Some(id)
+    }
+
+    /// Test-only mutation hook: flags the first depthwise channel the
+    /// plan left on the `i128` loop as narrow, simulating a planner that
+    /// skipped the per-channel proof. Returns `(node, channel)`, or `None`
+    /// if every depthwise channel is already narrow. The mutated plan must
+    /// never be executed — it exists to prove the plan verifier refutes
+    /// it (`TQT-V018`).
+    #[doc(hidden)]
+    pub fn inject_unproven_narrow_depthwise(&mut self) -> Option<(usize, usize)> {
+        let (id, ch) = self
+            .dw_narrow
+            .iter()
+            .enumerate()
+            .find_map(|(id, flags)| Some((id, flags.iter().position(|&n| !n)?)))?;
+        self.dw_narrow[id][ch] = true;
+        Some((id, ch))
     }
 
     /// Test-only mutation hook: shrinks one slot's capacity below a
@@ -551,7 +880,7 @@ pub struct IntExecutor<'g> {
 /// read-only during execution either way — each executor owns its slot
 /// buffers, so sharing a plan shares only immutable state.
 enum PlanRef<'g> {
-    Owned(IntPlan),
+    Owned(Box<IntPlan>),
     Shared(&'g IntPlan),
 }
 
@@ -588,7 +917,7 @@ impl<'g> IntExecutor<'g> {
         let slot_allocs = bufs.len() as u64;
         IntExecutor {
             graph,
-            plan: PlanRef::Owned(plan),
+            plan: PlanRef::Owned(Box::new(plan)),
             bufs,
             slot_allocs,
         }
@@ -631,7 +960,7 @@ impl<'g> IntExecutor<'g> {
     ///
     /// Panics if `x` does not have the planned input shape.
     pub fn run(&mut self, x: &Tensor) -> QTensor {
-        let stats = self.run_inner(x, false);
+        let stats = self.run_inner(x, false, &mut |_, _| {});
         self.assert_no_wrap(&stats);
         self.output()
     }
@@ -640,7 +969,7 @@ impl<'g> IntExecutor<'g> {
     /// each node's observed output range (see
     /// [`IntGraph::run_with_stats`]).
     pub fn run_with_stats(&mut self, x: &Tensor) -> (QTensor, RunStats) {
-        let stats = self.run_inner(x, true);
+        let stats = self.run_inner(x, true, &mut |_, _| {});
         (self.output(), stats)
     }
 
@@ -652,7 +981,7 @@ impl<'g> IntExecutor<'g> {
     /// zero-allocation steady state [`slot_allocs`](Self::slot_allocs)
     /// lets serving tests assert.
     pub fn run_into(&mut self, x: &Tensor, out: &mut Vec<i64>) -> (QFormat, RunStats) {
-        let stats = self.run_inner(x, false);
+        let stats = self.run_inner(x, false, &mut |_, _| {});
         self.assert_no_wrap(&stats);
         let plan = self.plan.get();
         let out_id = self.graph.output_id();
@@ -704,7 +1033,22 @@ impl<'g> IntExecutor<'g> {
         )
     }
 
-    fn run_inner(&mut self, x: &Tensor, observe: bool) -> RunStats {
+    /// Test-only differential hook: runs like
+    /// [`run_with_stats`](Self::run_with_stats) and hands every node's
+    /// output to `tap(node_id, values)` the moment it is written, before
+    /// its slot can be reused — so a test can recompute any node from its
+    /// real operands.
+    #[doc(hidden)]
+    pub fn run_tapped(&mut self, x: &Tensor, tap: &mut dyn FnMut(usize, &[i64])) -> RunStats {
+        self.run_inner(x, true, tap)
+    }
+
+    fn run_inner(
+        &mut self,
+        x: &Tensor,
+        observe: bool,
+        tap: &mut dyn FnMut(usize, &[i64]),
+    ) -> RunStats {
         let plan = self.plan.get();
         assert_eq!(
             x.dims(),
@@ -745,58 +1089,25 @@ impl<'g> IntExecutor<'g> {
                             out,
                         );
                     }
-                    IntOp::Conv {
-                        w,
-                        wdims,
-                        bias,
-                        geom,
-                        depthwise,
-                        ..
-                    } => {
+                    IntOp::Conv { .. } | IntOp::Dense { .. } | IntOp::Fused { .. } => {
                         let i0 = node.inputs[0];
-                        let a = input_slice(bufs, plan, i0);
-                        let ish = &plan.shapes[i0];
-                        let (ovf, _) = if *depthwise {
-                            depthwise_into(a, ish, w, *geom, bias.as_deref(), &[], out)
-                        } else {
-                            conv_into(
-                                a,
-                                ish,
-                                plan.panel_lhs(id, w),
-                                *wdims,
-                                *geom,
-                                bias.as_deref(),
-                                &[],
-                                out,
-                            )
+                        // A fused node's second input, if any, is its
+                        // residual operand.
+                        let epi = Epilogue {
+                            steps: plan.tile_steps(id),
+                            residual: node.inputs.get(1).map(|&r| input_slice(bufs, plan, r)),
+                            ..Epilogue::default()
                         };
-                        st.overflowed += ovf;
-                    }
-                    IntOp::Dense {
-                        w,
-                        in_dim,
-                        out_dim,
-                        bias,
-                        ..
-                    } => {
-                        let i0 = node.inputs[0];
-                        let a = input_slice(bufs, plan, i0);
-                        let (ovf, sat) = (Counter::new(), Counter::new());
-                        gemm_i64_narrow_fused(
-                            plan.shapes[i0][0],
-                            *out_dim,
-                            *in_dim,
-                            Lhs::Rows(a),
-                            plan.panel_rhs(id, w),
-                            None,
-                            bias.as_deref(),
-                            &[],
+                        let (ovf, sat) = plan.run_core(
+                            id,
+                            core_op(&node.op),
+                            input_slice(bufs, plan, i0),
+                            &plan.shapes[i0],
+                            epi,
                             out,
-                            &ovf,
-                            &sat,
-                            true,
                         );
-                        st.overflowed += ovf.get();
+                        st.overflowed += ovf;
+                        st.saturated += sat;
                     }
                     IntOp::Relu { cap_q } => {
                         let a = input_slice(bufs, plan, node.inputs[0]);
@@ -871,112 +1182,13 @@ impl<'g> IntExecutor<'g> {
                     IntOp::Flatten => {
                         out.copy_from_slice(input_slice(bufs, plan, node.inputs[0]));
                     }
-                    IntOp::Fused { core, epi } => {
-                        let i0 = node.inputs[0];
-                        let a = input_slice(bufs, plan, i0);
-                        let ish = &plan.shapes[i0];
-                        // Resolve the graph-level epilogue into tile steps
-                        // against the chain's running fractional length
-                        // (shifts are relative, formats absolute).
-                        let w_frac = match core.as_ref() {
-                            IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => *w_frac,
-                            other => panic!("fused core must be conv or dense, got {other:?}"),
-                        };
-                        let mut cur_frac = plan.formats[i0].frac + w_frac;
-                        let mut steps: Vec<TileStep> = Vec::with_capacity(epi.len());
-                        for step in epi {
-                            match step {
-                                EpiStep::Requant { format } => {
-                                    steps.push(TileStep::Requant {
-                                        shift: cur_frac - format.frac,
-                                        qmin: format.qmin(),
-                                        qmax: format.qmax(),
-                                    });
-                                    cur_frac = format.frac;
-                                }
-                                EpiStep::AddResidual => {
-                                    steps.push(TileStep::AddResidual(input_slice(
-                                        bufs,
-                                        plan,
-                                        node.inputs[1],
-                                    )));
-                                }
-                                EpiStep::Relu { cap_q } => {
-                                    steps.push(TileStep::ReluCap(cap_q.unwrap_or(i64::MAX)));
-                                }
-                                EpiStep::LeakyRelu { alpha_q } => {
-                                    steps.push(TileStep::Leaky(*alpha_q));
-                                    cur_frac += LEAKY_ALPHA_FRAC;
-                                }
-                            }
-                        }
-                        let (ovf, sat) = match core.as_ref() {
-                            IntOp::Conv {
-                                w,
-                                wdims,
-                                bias,
-                                geom,
-                                depthwise,
-                                ..
-                            } => {
-                                if *depthwise {
-                                    depthwise_into(
-                                        a,
-                                        ish,
-                                        w,
-                                        *geom,
-                                        bias.as_deref(),
-                                        &steps,
-                                        out,
-                                    )
-                                } else {
-                                    conv_into(
-                                        a,
-                                        ish,
-                                        plan.panel_lhs(id, w),
-                                        *wdims,
-                                        *geom,
-                                        bias.as_deref(),
-                                        &steps,
-                                        out,
-                                    )
-                                }
-                            }
-                            IntOp::Dense {
-                                w,
-                                in_dim,
-                                out_dim,
-                                bias,
-                                ..
-                            } => {
-                                let (ovf, sat) = (Counter::new(), Counter::new());
-                                gemm_i64_narrow_fused(
-                                    ish[0],
-                                    *out_dim,
-                                    *in_dim,
-                                    Lhs::Rows(a),
-                                    plan.panel_rhs(id, w),
-                                    None,
-                                    bias.as_deref(),
-                                    &steps,
-                                    out,
-                                    &ovf,
-                                    &sat,
-                                    true,
-                                );
-                                (ovf.get(), sat.get())
-                            }
-                            _ => unreachable!("checked above"),
-                        };
-                        st.overflowed += ovf;
-                        st.saturated += sat;
-                    }
                 }
             }
             if !matches!(node.op, IntOp::Input) {
                 if observe {
                     stats.nodes[id].observe(&outbuf[..len]);
                 }
+                tap(id, &outbuf[..len]);
                 // Mirror the width check QTensor::from_ints used to apply
                 // at every node (debug builds only — the hot path trusts
                 // the plan's format inference, which tests validate).
@@ -1047,29 +1259,27 @@ fn requant_into(a: &[i64], in_frac: i32, format: QFormat, out: &mut [i64]) -> u6
     sat.get()
 }
 
-/// Standard convolution: per-image i64 im2col into the thread-local
-/// scratch arena, then the blocked exact GEMM (parallel over output-row
-/// blocks) with the fused per-element epilogue applied in the tile
-/// store. Returns `(wrapped, saturated)` counts.
-#[allow(clippy::too_many_arguments)]
+/// Wide-lane convolution: per-image `i64` im2col into the thread-local
+/// scratch arena, then the blocked exact GEMM over the packed weights
+/// `w` (parallel over output-row blocks) with the fused epilogue applied
+/// in the tile store. Returns `(wrapped, saturated)` counts.
 fn conv_into(
     x: &[i64],
     ish: &[usize],
-    w: Lhs,
+    w: &[i64],
     wdims: [usize; 4],
     geom: Conv2dGeom,
-    bias: Option<&[i64]>,
-    epi: &[TileStep],
+    epi: Epilogue,
     out: &mut [i64],
 ) -> (u64, u64) {
     let (nb, c, h, wd) = (ish[0], ish[1], ish[2], ish[3]);
     let (oh, ow) = geom.out_size(h, wd);
     let cout = wdims[0];
     let krows = c * geom.kh * geom.kw;
-    let ncols = oh * ow;
+    let plane = cout * oh * ow;
     let (ovf, sat) = (Counter::new(), Counter::new());
     for ni in 0..nb {
-        let mut cols = ScratchI64::uninit(krows * ncols);
+        let mut cols = ScratchI64::uninit(krows * oh * ow);
         im2col_into(
             &x[ni * c * h * wd..(ni + 1) * c * h * wd],
             0i64,
@@ -1079,28 +1289,19 @@ fn conv_into(
             geom,
             &mut cols,
         );
-        // Residual steps carry the whole-batch operand; the GEMM sees one
-        // image at a time, so reslice them to this image's plane.
-        let epi_img: Vec<TileStep> = epi
-            .iter()
-            .map(|s| match *s {
-                TileStep::AddResidual(r) => {
-                    TileStep::AddResidual(&r[ni * cout * ncols..(ni + 1) * cout * ncols])
-                }
-                other => other,
-            })
-            .collect();
-        let oimg = &mut out[ni * cout * ncols..(ni + 1) * cout * ncols];
+        // The residual covers the whole batch; the GEMM sees one image.
+        let epi_img = Epilogue {
+            residual: epi.residual.map(|r| &r[ni * plane..(ni + 1) * plane]),
+            ..epi
+        };
         gemm_i64_narrow_fused(
             cout,
-            ncols,
+            oh * ow,
             krows,
-            w,
+            Lhs::Packed(w),
             Rhs::Rows(&cols),
-            bias,
-            None,
-            &epi_img,
-            oimg,
+            epi_img,
+            &mut out[ni * plane..(ni + 1) * plane],
             &ovf,
             &sat,
             true,
@@ -1109,81 +1310,211 @@ fn conv_into(
     (ovf.get(), sat.get())
 }
 
-/// Depthwise convolution, parallel over `(image, channel)` planes with
-/// exact i128 per-pixel accumulation and the fused per-element epilogue
-/// applied in place. Returns `(wrapped, saturated)` counts.
+/// Output columns per narrow-conv work tile: two activation panels. A
+/// fixed size, so the partition (and every count) is independent of the
+/// thread count, and small, so an 8×8 output plane still splits across
+/// two cores at batch 1.
+const CONV_TILE_COLS: usize = 2 * NNR;
+
+/// Narrow-lane convolution over the [`pack_narrow_conv`] weight panels
+/// `w`, in fixed `(image, CONV_TILE_COLS-column)` tiles across the pool.
+/// Each tile builds one [`NNR`]-column activation panel at a time
+/// straight from the input ([`conv_panel`]), runs every weight panel
+/// against it, and stores each widened accumulator through the
+/// epilogue. Returns `(wrapped, saturated)` counts.
+fn conv_narrow_into(
+    x: &[i64],
+    ish: &[usize],
+    w: &[i16],
+    wdims: [usize; 4],
+    geom: Conv2dGeom,
+    epi: Epilogue,
+    out: &mut [i64],
+) -> (u64, u64) {
+    let (nb, c, h, wd) = (ish[0], ish[1], ish[2], ish[3]);
+    let (oh, ow) = geom.out_size(h, wd);
+    let (cout, ncols) = (wdims[0], oh * ow);
+    let kpairs = narrow_conv_kpairs(wdims);
+    assert_eq!(wdims[1], c, "conv input channel mismatch");
+    assert_eq!(w.len(), narrow_conv_lhs_len(wdims), "narrow weight panel length mismatch");
+    assert_eq!(out.len(), nb * cout * ncols, "conv output length mismatch");
+    epi.check(nb * cout, ncols, cout);
+    if out.is_empty() {
+        return (0, 0);
+    }
+    let avx = has_avx2();
+    let alen = kpairs * NMR * 2;
+    let (ovf, sat) = (Counter::new(), Counter::new());
+    // Rows of the tile grid are the `cout` channels of one image.
+    pool::par_tiles_mut(out, ncols, cout, CONV_TILE_COLS, |ni, tc, tile| {
+        let xim = &x[ni * c * h * wd..(ni + 1) * c * h * wd];
+        let mut panel = ScratchI16::uninit(narrow_panel_len(2 * kpairs));
+        let mut acc = [0i32; NMR * NNR];
+        let (mut lo, mut ls) = (0u64, 0u64);
+        for j0 in (0..tile.cols()).step_by(NNR) {
+            let col0 = tc * CONV_TILE_COLS + j0;
+            let nc = NNR.min(tile.cols() - j0);
+            conv_panel(xim, [c, h, wd], geom, ow, (col0, nc), &mut panel);
+            for p in 0..cout.div_ceil(NMR) {
+                narrow_micro(kpairs, &w[p * alen..(p + 1) * alen], &panel, &mut acc, avx);
+                for r in 0..NMR.min(cout - p * NMR) {
+                    let co = p * NMR + r;
+                    let at = (ni * cout + co) * ncols + col0;
+                    let row = &mut tile.row(co)[j0..j0 + nc];
+                    for (j, o) in row.iter_mut().enumerate() {
+                        *o = epi.apply(i128::from(acc[r * NNR + j]), co, 0, at + j, &mut lo, &mut ls);
+                    }
+                }
+            }
+        }
+        ovf.add(lo);
+        sat.add(ls);
+    });
+    (ovf.get(), sat.get())
+}
+
+/// Builds one narrow activation panel — the im2col of output columns
+/// `[col0, col0 + nc)` of one image `xim` (`[c, h, w]`) — in the
+/// [`pack_narrow_conv`] reduction order: pair `kp = (ki·kw + kj)·cpairs +
+/// cp` of column `j` is `(x[2cp], x[2cp + 1])` at that column's input
+/// position for tap `(ki, kj)`, stored at `panel[kp·2·NNR + 2j ..]`.
+/// Both halves of a pair share one position, so every run of columns
+/// inside one output row reads two channel planes with a fixed stride.
+/// Padding taps, a missing odd channel and columns past `nc` are zero.
+fn conv_panel(
+    xim: &[i64],
+    [c, h, wd]: [usize; 3],
+    geom: Conv2dGeom,
+    ow: usize,
+    (col0, nc): (usize, usize),
+    panel: &mut [i16],
+) {
+    let (s, pad, hw, cpairs) = (geom.stride, geom.pad, h * wd, c.div_ceil(2));
+    panel.fill(0);
+    let mut j0 = 0;
+    while j0 < nc {
+        // One run: the panel columns that share output row `oi`.
+        let (oi, oj0) = ((col0 + j0) / ow, (col0 + j0) % ow);
+        let run = (ow - oj0).min(nc - j0);
+        for ki in 0..geom.kh {
+            let Some(ii) = (oi * s + ki).checked_sub(pad).filter(|&ii| ii < h) else {
+                continue;
+            };
+            for kj in 0..geom.kw {
+                // Columns `j` of the run whose tap column `(oj0 + j)·s +
+                // kj - pad` lies inside `[0, wd)`.
+                let Some(last) = (wd + pad).checked_sub(kj + 1) else {
+                    continue;
+                };
+                let lo = pad.saturating_sub(kj).div_ceil(s).saturating_sub(oj0).min(run);
+                let hi = (last / s + 1).saturating_sub(oj0).min(run);
+                if lo >= hi {
+                    continue;
+                }
+                let src = ii * wd + (oj0 + lo) * s + kj - pad;
+                let len = (hi - lo - 1) * s + 1;
+                for cp in 0..cpairs {
+                    let kp = (ki * geom.kw + kj) * cpairs + cp;
+                    let at = kp * 2 * NNR + 2 * (j0 + lo);
+                    let dst = &mut panel[at..at + 2 * (hi - lo)];
+                    let x0 = &xim[2 * cp * hw + src..][..len];
+                    if 2 * cp + 1 < c {
+                        let x1 = &xim[(2 * cp + 1) * hw + src..][..len];
+                        if s == 1 {
+                            for ((d, &v0), &v1) in dst.chunks_exact_mut(2).zip(x0).zip(x1) {
+                                d[0] = to_i16(v0);
+                                d[1] = to_i16(v1);
+                            }
+                        } else {
+                            for (j, d) in dst.chunks_exact_mut(2).enumerate() {
+                                d[0] = to_i16(x0[j * s]);
+                                d[1] = to_i16(x1[j * s]);
+                            }
+                        }
+                    } else {
+                        for (j, d) in dst.chunks_exact_mut(2).enumerate() {
+                            d[0] = to_i16(x0[j * s]);
+                        }
+                    }
+                }
+            }
+        }
+        j0 += run;
+    }
+}
+
+/// Calls `f(x, w)` for every in-bounds tap of output pixel `(oi, oj)` of
+/// one depthwise plane `xim` (`h × wd`) with kernel `wk`.
+#[inline(always)]
+fn depthwise_taps(
+    xim: &[i64],
+    wk: &[i64],
+    geom: Conv2dGeom,
+    (h, wd): (usize, usize),
+    (oi, oj): (usize, usize),
+    mut f: impl FnMut(i64, i64),
+) {
+    // Tap (ki, kj) reads input (i0 + ki - pad, j0 + kj - pad); clip the
+    // tap ranges to the image instead of testing every tap.
+    let (i0, j0, pad) = (oi * geom.stride, oj * geom.stride, geom.pad);
+    let ki_end = geom.kh.min((h + pad).saturating_sub(i0));
+    let kj_end = geom.kw.min((wd + pad).saturating_sub(j0));
+    let kj_start = pad.saturating_sub(j0).min(kj_end);
+    for ki in pad.saturating_sub(i0)..ki_end {
+        let row = &xim[(i0 + ki - pad) * wd..][..wd];
+        let wrow = &wk[ki * geom.kw..][..geom.kw];
+        for kj in kj_start..kj_end {
+            f(row[j0 + kj - pad], wrow[kj]);
+        }
+    }
+}
+
+/// Depthwise convolution, parallel over `(image, channel)` planes. A
+/// channel the plan proved narrow (`narrow_ch`) accumulates in `i32`,
+/// any other in exact `i128`; both widen to `i128` for the fused
+/// epilogue (`epi.bias_row` is the per-channel bias). Returns
+/// `(wrapped, saturated)` counts.
 fn depthwise_into(
     x: &[i64],
     ish: &[usize],
     w: &[i64],
     geom: Conv2dGeom,
-    bias: Option<&[i64]>,
-    epi: &[TileStep],
+    narrow_ch: &[bool],
+    epi: Epilogue,
     out: &mut [i64],
 ) -> (u64, u64) {
     let (nb, c, h, wd) = (ish[0], ish[1], ish[2], ish[3]);
     let (oh, ow) = geom.out_size(h, wd);
     let ncols = oh * ow;
     assert_eq!(out.len(), nb * c * ncols, "depthwise output length mismatch");
+    epi.check(nb * c, ncols, c);
     let (ovf, sat) = (Counter::new(), Counter::new());
     pool::par_chunks_mut(out, ncols, |img, ochunk| {
         let co = img % c;
         let xim = &x[img * h * wd..(img + 1) * h * wd];
         let wk = &w[co * geom.kh * geom.kw..(co + 1) * geom.kh * geom.kw];
-        let mut local = 0u64;
-        let mut local_sat = 0u64;
+        let narrow_lane = narrow_ch.get(co).copied().unwrap_or(false);
+        let (mut lo, mut ls) = (0u64, 0u64);
         for oi in 0..oh {
             for oj in 0..ow {
-                let mut acc = 0i128;
-                for ki in 0..geom.kh {
-                    let ii = (oi * geom.stride + ki) as isize - geom.pad as isize;
-                    if ii < 0 || ii >= h as isize {
-                        continue;
-                    }
-                    for kj in 0..geom.kw {
-                        let jj = (oj * geom.stride + kj) as isize - geom.pad as isize;
-                        if jj < 0 || jj >= wd as isize {
-                            continue;
-                        }
-                        acc += i128::from(xim[ii as usize * wd + jj as usize])
-                            * i128::from(wk[ki * geom.kw + kj]);
-                    }
-                }
-                if let Some(b) = bias {
-                    acc += i128::from(b[co]);
-                }
-                let mut v = narrow(acc, &mut local);
-                for step in epi {
-                    match *step {
-                        TileStep::Requant { shift, qmin, qmax } => {
-                            let r = shift_round(v, shift);
-                            let cl = r.clamp(qmin, qmax);
-                            if cl != r {
-                                local_sat += 1;
-                            }
-                            v = cl;
-                        }
-                        TileStep::AddResidual(res) => {
-                            v = narrow(
-                                i128::from(v) + i128::from(res[img * ncols + oi * ow + oj]),
-                                &mut local,
-                            );
-                        }
-                        TileStep::ReluCap(cap) => {
-                            v = v.max(0).min(cap);
-                        }
-                        TileStep::Leaky(alpha) => {
-                            let wide = (i128::from(v) << LEAKY_ALPHA_FRAC)
-                                .max(i128::from(v) * i128::from(alpha));
-                            v = narrow(wide, &mut local);
-                        }
-                    }
-                }
-                ochunk[oi * ow + oj] = v;
+                let at = img * ncols + oi * ow + oj;
+                ochunk[oi * ow + oj] = if narrow_lane {
+                    let mut s = 0i32;
+                    depthwise_taps(xim, wk, geom, (h, wd), (oi, oj), |xv, wv| {
+                        s += i32::from(to_i16(xv)) * i32::from(to_i16(wv));
+                    });
+                    epi.apply(i128::from(s), co, 0, at, &mut lo, &mut ls)
+                } else {
+                    let mut s = 0i128;
+                    depthwise_taps(xim, wk, geom, (h, wd), (oi, oj), |xv, wv| {
+                        s += i128::from(xv) * i128::from(wv);
+                    });
+                    epi.apply(s, co, 0, at, &mut lo, &mut ls)
+                };
             }
         }
-        ovf.add(local);
-        sat.add(local_sat);
+        ovf.add(lo);
+        sat.add(ls);
     });
     (ovf.get(), sat.get())
 }

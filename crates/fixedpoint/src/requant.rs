@@ -30,11 +30,9 @@ pub fn shift_round(v: i64, shift: i32) -> i64 {
     let mask = (1i64 << shift) - 1;
     let rem = v & mask; // non-negative remainder (arithmetic semantics)
     let floor = v >> shift;
-    if rem > half || (rem == half && (floor & 1) != 0) {
-        floor + 1
-    } else {
-        floor
-    }
+    // Branch-free: the round-up decision depends on data, and a branch
+    // on it mispredicts about every other element.
+    floor + i64::from((rem > half) | ((rem == half) & (floor & 1 != 0)))
 }
 
 /// Saturates `v` into `[lo, hi]`.

@@ -10,7 +10,8 @@
 //! traversal order, same bytes out.
 
 use tqt_fixedpoint::intgemm::{
-    gemm_i64_narrow_fused, pack_lhs, pack_rhs, packed_lhs_len, packed_rhs_len, Lhs, Rhs, TileStep,
+    gemm_i64_narrow_fused, pack_lhs, pack_rhs, packed_lhs_len, packed_rhs_len, Epilogue, Lhs, Rhs,
+    TileStep,
 };
 use tqt_fixedpoint::{
     gemm_i8_acc32, gemm_i8_acc32_prepacked, gemm_i8_fused, gemm_i8_fused_prepacked, IntExecutor,
@@ -139,10 +140,10 @@ fn prepacked_i64_panels_match_row_major() {
             let residual: Vec<i64> = fill_i64(c.m * c.n, &mut rng);
             // Epilogue shape varies with the mode so every TileStep is
             // exercised against packed operands.
-            let epi: Vec<TileStep> = match c.mode {
+            let steps: Vec<TileStep> = match c.mode {
                 0 => vec![TileStep::Requant { shift: 4, qmin: -127, qmax: 127 }],
                 1 => vec![
-                    TileStep::AddResidual(&residual),
+                    TileStep::AddResidual,
                     TileStep::ReluCap(i64::MAX),
                     TileStep::Requant { shift: 6, qmin: -127, qmax: 127 },
                 ],
@@ -159,9 +160,14 @@ fn prepacked_i64_panels_match_row_major() {
             let run = |lhs: Lhs, rhs: Rhs, parallel: bool| {
                 let (ovf, sat) = (Counter::new(), Counter::new());
                 let mut out = vec![0i64; c.m * c.n];
+                let epi = Epilogue {
+                    bias_row: Some(&bias),
+                    bias_col: None,
+                    steps: &steps,
+                    residual: Some(&residual),
+                };
                 gemm_i64_narrow_fused(
-                    c.m, c.n, c.k, lhs, rhs, Some(&bias), None, &epi, &mut out, &ovf, &sat,
-                    parallel,
+                    c.m, c.n, c.k, lhs, rhs, epi, &mut out, &ovf, &sat, parallel,
                 );
                 (out, ovf.get(), sat.get())
             };

@@ -477,6 +477,112 @@ pub fn par_chunks_mut4<T, F>(
     ranges.check("par_chunks_mut4", len);
 }
 
+/// One rectangular tile of a row-major buffer, carved by
+/// [`par_tiles_mut`]: `rows` rows of `cols` elements each, starting at
+/// one column of a buffer whose rows are `row_len` long. The tiles of a
+/// region never share an element, so each hands out its row segments
+/// mutably — one at a time, through [`row`](Self::row).
+pub struct TileMut<'a, T> {
+    /// Element `(0, 0)` of the tile.
+    base: *mut T,
+    row_len: usize,
+    rows: usize,
+    cols: usize,
+    _borrow: std::marker::PhantomData<&'a mut [T]>,
+}
+
+impl<T> TileMut<'_, T> {
+    /// Rows in this tile (the last tile row of a grid may be short).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns in this tile (the last tile column may be narrow).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The tile's segment of its row `r`: `cols` elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows`.
+    pub fn row(&mut self, r: usize) -> &mut [T] {
+        assert!(r < self.rows, "tile row {r} out of range ({} rows)", self.rows);
+        // SAFETY: `par_tiles_mut` built this tile over rows `< rows` and
+        // columns `< cols` of a live `&mut [T]` it checked to be a whole
+        // number of `row_len`-long rows; no other tile covers these
+        // elements, and the `&mut self` borrow keeps one segment out at a
+        // time.
+        unsafe { std::slice::from_raw_parts_mut(self.base.add(r * self.row_len), self.cols) }
+    }
+}
+
+/// 2-D variant of [`par_chunks_mut`]: views `data` as rows of `row_len`
+/// elements, cuts it into a grid of `tile_rows × tile_cols` tiles
+/// (ragged at the bottom and right edges), and calls
+/// `f(tile_row, tile_col, tile)` once per tile across the pool. The grid
+/// depends only on the arguments, never on the thread count, so a kernel
+/// whose tiles are independent is bit-identical serial and parallel.
+/// Built for kernels whose natural work unit is a column range of a
+/// plane (conv output columns of one image), which no contiguous chunk
+/// describes.
+///
+/// # Panics
+///
+/// Panics if a tile dimension or `row_len` is zero, if `data.len()` is
+/// not a multiple of `row_len`, or re-throws the first panic raised by
+/// `f`.
+pub fn par_tiles_mut<T, F>(data: &mut [T], row_len: usize, tile_rows: usize, tile_cols: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, usize, &mut TileMut<'_, T>) + Sync,
+{
+    assert!(
+        row_len > 0 && tile_rows > 0 && tile_cols > 0,
+        "tile and row sizes must be positive"
+    );
+    let len = data.len();
+    assert_eq!(len % row_len, 0, "par_tiles_mut: buffer is not whole rows");
+    let nrows = len / row_len;
+    let (grid_r, grid_c) = (nrows.div_ceil(tile_rows), row_len.div_ceil(tile_cols));
+    let ntiles = grid_r * grid_c;
+    let base = SendPtr(data.as_mut_ptr());
+    let ranges = hb::RangeLog::new();
+    let run_tile = |t: usize| {
+        let (tr, tc) = (t / grid_c, t % grid_c);
+        let (r0, c0) = (tr * tile_rows, tc * tile_cols);
+        let rows = tile_rows.min(nrows - r0);
+        let cols = tile_cols.min(row_len - c0);
+        for r in 0..rows {
+            let start = (r0 + r) * row_len + c0;
+            ranges.record(start, start + cols);
+        }
+        let mut tile = TileMut {
+            // SAFETY: `r0 < nrows` and `c0 < row_len`, so the offset is
+            // inside `data`.
+            base: unsafe { base.get().add(r0 * row_len + c0) },
+            row_len,
+            rows,
+            cols,
+            _borrow: std::marker::PhantomData,
+        };
+        f(tr, tc, &mut tile);
+    };
+    let workers = threads();
+    if workers <= 1 || ntiles < 2 {
+        (0..ntiles).for_each(run_tile);
+    } else {
+        // Contiguous runs of tiles per block, oversplit for load balance.
+        let per = ntiles.div_ceil(workers * BLOCKS_PER_THREAD).max(1);
+        run_region(ntiles.div_ceil(per), &|b| {
+            (b * per..((b + 1) * per).min(ntiles)).for_each(run_tile);
+        });
+    }
+    // Every block has finished: the carved segments must tile [0, len).
+    ranges.check("par_tiles_mut", len);
+}
+
 /// Row-wise parallel iteration over a `[rows, row_len]` row-major buffer:
 /// calls `f(row_index, row)` for every row. Thin wrapper over
 /// [`par_chunks_mut`] named for the common tensor-kernel case.
@@ -701,6 +807,31 @@ mod tests {
                 assert_eq!(v, k as u32 + bi as u32 + 1);
             }
         }
+    }
+
+    #[test]
+    fn tiles_cover_every_element_once_with_ragged_edges() {
+        // 7 rows of 10, tiles 3x4: a 3x3 grid with a short last row and
+        // a narrow last column.
+        let run = || {
+            let mut data = vec![0u32; 70];
+            par_tiles_mut(&mut data, 10, 3, 4, |tr, tc, tile| {
+                for r in 0..tile.rows() {
+                    for (j, v) in tile.row(r).iter_mut().enumerate() {
+                        *v += (tr * 3 + r) as u32 * 100 + (tc * 4 + j) as u32 + 1;
+                    }
+                }
+            });
+            data
+        };
+        let parallel = run();
+        for (k, &v) in parallel.iter().enumerate() {
+            assert_eq!(v, (k / 10) as u32 * 100 + (k % 10) as u32 + 1);
+        }
+        force_serial(true);
+        let serial = run();
+        force_serial(false);
+        assert_eq!(parallel, serial);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::time::Duration;
 use tqt_fixedpoint::{IntExecutor, IntGraph, IntPlan, QFormat};
 use tqt_rt::queue::{scoped_threads, BatchQueue, QueueStats};
 use tqt_tensor::Tensor;
-use tqt_verify::{analyze, check_plan};
+use tqt_verify::{analyze, check_plan_with};
 
 /// The default batch ladder: power-of-two rungs so any backlog splits
 /// into at most `log2(top)` dispatches, topping out where the blocked
@@ -140,7 +140,7 @@ impl Engine {
                 ));
             }
             let plan = graph.plan(&dims);
-            let pr = check_plan(&graph, &plan);
+            let pr = check_plan_with(&graph, &plan, &iv.nodes);
             if !pr.is_clean() {
                 return Err(format!(
                     "batch-{rung} plan refused: plan proof failed\n{}",

@@ -22,7 +22,7 @@
 //! block (escaped into a nested region or outlived its own).
 //!
 //! One arena exists per element type — [`Scratch`] (`f32`) for the
-//! float path, [`ScratchI8`]/[`ScratchI32`]/[`ScratchI64`] for the
+//! float path, [`ScratchI8`]/[`ScratchI16`]/[`ScratchI32`]/[`ScratchI64`] for the
 //! fixed-point kernels. The free stacks are independent, so integer
 //! inference never evicts the float trainer's buffers (or vice versa).
 
@@ -118,6 +118,15 @@ scratch_arena!(
     i8,
     0,
     FREE_I8
+);
+
+scratch_arena!(
+    /// RAII guard over a borrowed `i16` scratch buffer (the integer
+    /// engine's narrow-lane activation panels).
+    ScratchI16,
+    i16,
+    0,
+    FREE_I16
 );
 
 scratch_arena!(

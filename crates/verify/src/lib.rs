@@ -59,7 +59,7 @@ pub use passes::{
     checked_rebalance_with_provenance,
 };
 pub use translate::certify;
-pub use plan_check::{check_float_plan, check_plan};
+pub use plan_check::{check_float_plan, check_plan, check_plan_with};
 pub use sanitize::check_containment;
 pub use sched_check::{
     check_batch_schedules, check_fold_partition, check_schedules, collect_hb_findings,

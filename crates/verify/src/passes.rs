@@ -156,7 +156,8 @@ pub fn checked_fuse_with_provenance(
     }
 
     let facts = crate::interval::analyze(&fused, input_dims);
-    report.merge(crate::plan_check::check_plan(&fused, &fused.plan(input_dims)));
+    let plan = fused.plan(input_dims);
+    report.merge(crate::plan_check::check_plan_with(&fused, &plan, &facts.nodes));
     (fused, fprov, facts, report)
 }
 
@@ -191,7 +192,8 @@ pub fn checked_rebalance_with_provenance(
 
     report.merge(crate::gridtype::infer_int_grids(&rg, input_dims).report);
     let facts = crate::interval::analyze(&rg, input_dims);
-    report.merge(crate::plan_check::check_plan(&rg, &rg.plan(input_dims)));
+    let plan = rg.plan(input_dims);
+    report.merge(crate::plan_check::check_plan_with(&rg, &plan, &facts.nodes));
     (rg, rprov, facts, report)
 }
 

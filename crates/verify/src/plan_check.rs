@@ -17,24 +17,39 @@
 //!   write into a slot holding a live value is `TQT-V016`, every read
 //!   that does not see its producing write is `TQT-V017`, every
 //!   capacity shortfall is `TQT-V018`;
-//! * the executor's only workspace outside the slots — the per-image
-//!   im2col checkout from the thread-local scratch arena — is re-derived
-//!   and compared with the plan's accounting (`TQT-V018`), proving
-//!   im2col scratch is sized and held apart from slot storage (the arena
-//!   is a distinct allocation by construction; the sanitizer's
-//!   `TQT-V022` covers its checkout discipline at runtime).
+//! * every conv/dense node's GEMM lane is re-proven: a node the plan put
+//!   on the narrow `i16 × i16 → i32` lane must discharge the narrow
+//!   obligation (input and weights fit `i16`, `max|x| · max_row Σ|w| <
+//!   2³¹`) against the **interval analysis's** input bound, not the
+//!   planner's format-based proof; an unproven narrow node is
+//!   `TQT-V018`. Its packed panel must have the re-derived length of its
+//!   lane's layout, inside that lane's arena. Each depthwise channel the
+//!   plan accumulates in `i32` discharges the same obligation over its
+//!   own `kh·kw` taps;
+//! * the executor's only workspace outside the slots — the wide lane's
+//!   per-image `i64` im2col checkout and the narrow lane's `i16` panel
+//!   checkouts from the thread-local scratch arenas — is re-derived per
+//!   lane and compared with the plan's accounting (`TQT-V018`), proving
+//!   scratch is sized and held apart from slot storage (the arenas are
+//!   distinct allocations by construction; the sanitizer's `TQT-V022`
+//!   covers their checkout discipline at runtime).
 //!
 //! Every refutation carries the producer-chain path of the offending
 //! node as a counterexample. The mutation tests
 //! (`crates/verify/tests/plan_mutations.rs`) inject a liveness
-//! off-by-one and a premature slot release and assert this pass refutes
-//! both with the correct node.
+//! off-by-one and a premature slot release, and
+//! `tests/certifier_soundness.rs` an unproven narrow GEMM lane and an
+//! unproven narrow depthwise channel; this pass refutes each with the
+//! correct node.
 
 use crate::diag::{Code, Report};
-use crate::interval::path_to;
-use tqt_fixedpoint::intgemm::{packed_lhs_len, packed_rhs_len};
+use crate::interval::{analyze, path_to, NodeFacts};
+use tqt_fixedpoint::intgemm::{
+    narrow_conv_kpairs, narrow_conv_lhs_len, narrow_lhs_len, narrow_panel_len, narrow_rhs_len,
+    packed_lhs_len, packed_rhs_len,
+};
 use tqt_fixedpoint::lower::{IntGraph, IntOp, LEAKY_ALPHA_FRAC};
-use tqt_fixedpoint::IntPlan;
+use tqt_fixedpoint::{IntPlan, Lane};
 use tqt_graph::fplan::FloatPlan;
 use tqt_graph::{Graph, Op as FOp};
 use tqt_tensor::conv::{conv2d_bwd_ws, conv2d_fwd_ws};
@@ -43,16 +58,25 @@ use tqt_tensor::gemm::packed_a_len;
 /// Independently re-derived facts about one planned graph.
 #[derive(Debug)]
 struct Derived {
-    /// Element count per node (0 for the float-input placeholder).
+    /// Output dims per node (`[0]` for the float-input placeholder).
+    dims: Vec<Vec<usize>>,
+    /// Element count per node.
     lens: Vec<usize>,
     /// Last node id that needs each node's value (`usize::MAX` for the
     /// graph output, which must survive the whole run).
     last_use: Vec<usize>,
-    /// im2col scratch high-water mark in elements.
-    scratch_elems: usize,
 }
 
-/// Re-derives per-node output element counts from the op semantics. This
+/// The compute op a node runs: the core of a fused node, the op itself
+/// otherwise.
+fn core(op: &IntOp) -> &IntOp {
+    match op {
+        IntOp::Fused { core, .. } => core,
+        other => other,
+    }
+}
+
+/// Re-derives per-node output dims from the op semantics. This
 /// intentionally re-implements the shape rules against the kernel
 /// contracts instead of calling the planner, so a planner bug cannot
 /// vouch for itself.
@@ -60,7 +84,6 @@ fn derive(g: &IntGraph, input_dims: &[usize]) -> Derived {
     let nodes = g.nodes();
     let n = nodes.len();
     let mut dims: Vec<Vec<usize>> = Vec::with_capacity(n);
-    let mut scratch_elems = 0usize;
     for node in nodes {
         let i0 = node.inputs.first().copied();
         let d = match &node.op {
@@ -70,26 +93,6 @@ fn derive(g: &IntGraph, input_dims: &[usize]) -> Derived {
             IntOp::Requant { .. } | IntOp::Relu { .. } | IntOp::LeakyRelu { .. } => {
                 let _ = LEAKY_ALPHA_FRAC; // format-only ops: size-preserving
                 dims[i0.expect("unary op arity")].clone() // tqt:allow(expect): from_parts guarantees arity
-            }
-            IntOp::Conv {
-                wdims,
-                geom,
-                depthwise,
-                ..
-            } => {
-                let ish = &dims[i0.expect("conv arity")]; // tqt:allow(expect): from_parts guarantees arity
-                let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                if !depthwise {
-                    // The kernel's per-image im2col checkout:
-                    // (c·kh·kw) × (oh·ow) elements.
-                    scratch_elems =
-                        scratch_elems.max(ish[1] * geom.kh * geom.kw * oh * ow);
-                }
-                vec![ish[0], wdims[0], oh, ow]
-            }
-            IntOp::Dense { out_dim, .. } => {
-                let ish = &dims[i0.expect("dense arity")]; // tqt:allow(expect): from_parts guarantees arity
-                vec![ish[0], *out_dim]
             }
             IntOp::MaxPool { geom } => {
                 let ish = &dims[i0.expect("maxpool arity")]; // tqt:allow(expect): from_parts guarantees arity
@@ -112,23 +115,14 @@ fn derive(g: &IntGraph, input_dims: &[usize]) -> Derived {
                 let ish = &dims[i0.expect("flatten arity")]; // tqt:allow(expect): from_parts guarantees arity
                 vec![ish[0], ish.iter().product::<usize>() / ish[0]]
             }
-            IntOp::Fused { core, .. } => {
-                // The epilogue (requant/add/relu) is size-preserving, so the
-                // fused node's storage is exactly its core's output; a fused
-                // conv core still checks out the same im2col scratch.
-                let ish = &dims[i0.expect("fused arity")]; // tqt:allow(expect): from_parts guarantees arity
-                match &**core {
-                    IntOp::Conv {
-                        wdims,
-                        geom,
-                        depthwise,
-                        ..
-                    } => {
+            // A fused node's epilogue (requant/add/relu) is
+            // size-preserving, so its storage is exactly its core's
+            // output.
+            IntOp::Conv { .. } | IntOp::Dense { .. } | IntOp::Fused { .. } => {
+                let ish = &dims[i0.expect("compute arity")]; // tqt:allow(expect): from_parts guarantees arity
+                match core(&node.op) {
+                    IntOp::Conv { wdims, geom, .. } => {
                         let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                        if !depthwise {
-                            scratch_elems =
-                                scratch_elems.max(ish[1] * geom.kh * geom.kw * oh * ow);
-                        }
                         vec![ish[0], wdims[0], oh, ow]
                     }
                     IntOp::Dense { out_dim, .. } => vec![ish[0], *out_dim],
@@ -149,52 +143,133 @@ fn derive(g: &IntGraph, input_dims: &[usize]) -> Derived {
     }
     last_use[g.output_id()] = usize::MAX;
     Derived {
+        dims,
         lens,
         last_use,
-        scratch_elems,
     }
 }
 
 /// The packed-panel element count the weight arena must reserve for a
-/// node, re-derived from the packing contracts in
-/// [`tqt_fixedpoint::intgemm`]: conv weights pack as an MR-tall LHS over
-/// `cout × (cin·kh·kw)`, dense weights as an NR-wide RHS over
-/// `in_dim × out_dim`. Depthwise convs and non-compute ops pack nothing.
-fn expected_panel_len(op: &IntOp) -> Option<usize> {
-    let core = match op {
-        IntOp::Fused { core, .. } => core,
-        other => other,
-    };
-    match core {
-        IntOp::Conv {
-            wdims,
-            depthwise: false,
-            ..
-        } => Some(packed_lhs_len(wdims[0], wdims[1] * wdims[2] * wdims[3])),
-        IntOp::Dense {
-            in_dim, out_dim, ..
-        } => Some(packed_rhs_len(*in_dim, *out_dim)),
+/// node on `lane`, re-derived from the packing contracts in
+/// [`tqt_fixedpoint::intgemm`]. Conv weights pack as an LHS over `cout ×
+/// (cin·kh·kw)`: MRB-row `i64` panels wide, NMR-row `i16` panels of one
+/// k-pair per tap and channel pair narrow. Dense weights pack as an RHS
+/// over `in_dim × out_dim`: NCB-column panels wide, NNR-column k-pair
+/// panels narrow. Depthwise convs and non-compute ops pack nothing.
+fn expected_panel_len(op: &IntOp, lane: Lane) -> Option<usize> {
+    match (core(op), lane) {
+        (
+            IntOp::Conv {
+                wdims,
+                depthwise: false,
+                ..
+            },
+            lane,
+        ) => {
+            let (m, k) = (wdims[0], wdims[1] * wdims[2] * wdims[3]);
+            Some(match lane {
+                Lane::Wide => packed_lhs_len(m, k),
+                Lane::Narrow => narrow_conv_lhs_len(*wdims),
+            })
+        }
+        (
+            IntOp::Dense {
+                in_dim, out_dim, ..
+            },
+            lane,
+        ) => Some(match lane {
+            Lane::Wide => packed_rhs_len(*in_dim, *out_dim),
+            Lane::Narrow => narrow_rhs_len(*in_dim, *out_dim),
+        }),
         _ => None,
     }
+}
+
+/// `Σ|w|` over one weight row, exact.
+fn l1(row: impl Iterator<Item = i64>) -> u128 {
+    row.map(|v| u128::from(v.unsigned_abs())).sum()
+}
+
+/// A GEMM core's weights and their per-output-row `Σ|w|`: conv rows are
+/// output channels over `cin·kh·kw`, dense rows the output features.
+fn gemm_rows(op: &IntOp) -> Option<(&[i64], Vec<u128>)> {
+    match core(op) {
+        IntOp::Conv { w, wdims, .. } => {
+            let k = (wdims[1] * wdims[2] * wdims[3]).max(1);
+            Some((w, w.chunks(k).map(|r| l1(r.iter().copied())).collect()))
+        }
+        IntOp::Dense { w, out_dim, .. } => {
+            let m = (*out_dim).max(1);
+            let rows = (0..m)
+                .map(|o| l1(w.iter().skip(o).step_by(m).copied()))
+                .collect();
+            Some((w, rows))
+        }
+        _ => None,
+    }
+}
+
+/// The narrow-lane obligation for weights `w` with per-row sums `rows`
+/// over an input the interval proof bounds by `|x| <= xmax`: every input
+/// value and every weight fits `i16`, and `xmax · Σ_k |w[row, k]| < 2³¹`
+/// for every row, so no `i32` partial sum can wrap. Returns why the
+/// obligation fails, or `None` when it holds.
+fn narrow_obligation(w: &[i64], rows: &[u128], xmax: u128) -> Option<String> {
+    if xmax > i16::MAX as u128 {
+        return Some(format!("input bound |x| <= {xmax} escapes i16"));
+    }
+    if let Some(v) = w.iter().find(|&&v| i16::try_from(v).is_err()) {
+        return Some(format!("weight {v} escapes i16"));
+    }
+    let (row, l1) = rows
+        .iter()
+        .enumerate()
+        .max_by_key(|&(_, l1)| *l1)
+        .map(|(r, &l1)| (r, l1))
+        .unwrap_or((0, 0));
+    (xmax * l1 >= 1 << 31).then(|| {
+        format!(
+            "row {row}: |x| <= {xmax} times sum|w| = {l1} reaches 2^31 — an i32 \
+             accumulator can wrap"
+        )
+    })
 }
 
 /// Proves (or refutes, with a counterexample node path) that `plan` is
 /// alias-free for `g`: every read sees its producing write, no write
 /// lands on a live value, every slot fits its tensors, and scratch
-/// accounting matches. A clean [`Report`] is the proof.
+/// accounting matches. A clean [`Report`] is the proof. Runs the
+/// interval analysis the narrow-lane re-proofs need; a caller that
+/// already holds it passes its facts to [`check_plan_with`] instead.
 pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
+    check_plan_with(g, plan, &analyze(g, plan.input_dims()).nodes)
+}
+
+/// [`check_plan`] against the per-node interval `facts` that
+/// [`analyze`] computed for `g` on `plan`'s input dims.
+pub fn check_plan_with(g: &IntGraph, plan: &IntPlan, facts: &[NodeFacts]) -> Report {
     let mut r = Report::new();
     let nodes = g.nodes();
     let n = nodes.len();
     let d = derive(g, plan.input_dims());
 
-    if plan.num_nodes() != n {
+    if plan.num_nodes() != n || facts.len() != n {
         r.push_global(
             Code::PlanStorage,
-            format!("plan covers {} nodes, graph has {n}", plan.num_nodes()),
+            format!(
+                "plan covers {} nodes and the interval facts {}, graph has {n}",
+                plan.num_nodes(),
+                facts.len()
+            ),
         );
         return r;
     }
+    // `|x|` bound of node `id`'s first input, from the interval facts.
+    let xmax = |id: usize| {
+        nodes[id].inputs.first().map_or(u128::MAX, |&i| {
+            facts[i].lo.unsigned_abs().max(facts[i].hi.unsigned_abs())
+        })
+    };
 
     // 1. Storage facts: re-derived lengths and slot capacities (V018).
     for id in 0..n {
@@ -230,33 +305,26 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
             );
         }
     }
-    if plan.scratch_elems() != d.scratch_elems {
-        r.push_global(
-            Code::PlanStorage,
-            format!(
-                "plan accounts {} im2col scratch elements, kernel contracts require {}",
-                plan.scratch_elems(),
-                d.scratch_elems
-            ),
-        );
-    }
-
-    // 1b. Weight-arena facts (V018): every non-depthwise conv / dense
-    // core (standalone or fused) must own a packed panel of the
-    // re-derived packed length, inside the arena, pairwise disjoint —
-    // a wrong extent would make the GEMM read another layer's weights.
-    let arena = plan.weight_arena_elems();
-    let mut panels: Vec<(usize, usize, usize)> = Vec::new();
+    // 1b. Lanes and weight arenas (V018). Every non-depthwise conv /
+    // dense core (standalone or fused) must own a packed panel of the
+    // re-derived length for its lane, inside that lane's arena, pairwise
+    // disjoint — a wrong extent would make the GEMM read another layer's
+    // weights. A narrow lane must discharge the narrow obligation
+    // against the interval proof's input bound, independently of the
+    // planner's own format-based proof.
+    let mut panels: Vec<(Lane, usize, usize, usize)> = Vec::new();
     for (id, node) in nodes.iter().enumerate() {
-        let want = expected_panel_len(&node.op);
-        match (plan.weight_panel(id), want) {
-            (Some((off, len)), Some(el)) => {
+        let lane = plan.lane(id);
+        let want = expected_panel_len(&node.op, lane.unwrap_or(Lane::Wide));
+        match (lane.zip(plan.weight_panel(id)), want) {
+            (Some((lane, (off, len))), Some(el)) => {
+                let arena = plan.arena_elems(lane);
                 if len != el {
                     r.push(
                         Code::PlanStorage,
                         &nodes[id].name,
                         format!(
-                            "packed weight panel holds {len} elements, packing \
+                            "packed {lane:?}-lane weight panel holds {len} elements, packing \
                              re-derivation says {el} (path: {})",
                             path_to(nodes, id)
                         ),
@@ -267,13 +335,25 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
                         &nodes[id].name,
                         format!(
                             "packed weight panel [{off}, {}) escapes the {arena}-element \
-                             arena (path: {})",
+                             {lane:?}-lane arena (path: {})",
                             off + len,
                             path_to(nodes, id)
                         ),
                     );
                 } else {
-                    panels.push((off, len, id));
+                    panels.push((lane, off, len, id));
+                }
+                let rows = if lane == Lane::Narrow { gemm_rows(&node.op) } else { None };
+                if let Some(why) = rows.and_then(|(w, rows)| narrow_obligation(w, &rows, xmax(id))) {
+                    r.push(
+                        Code::PlanStorage,
+                        &nodes[id].name,
+                        format!(
+                            "planned on the narrow i16/i32 lane without proof: {why} \
+                             (path: {})",
+                            path_to(nodes, id)
+                        ),
+                    );
                 }
             }
             (None, Some(_)) => {
@@ -298,9 +378,9 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
     }
     panels.sort_unstable();
     for pair in panels.windows(2) {
-        let (off_a, len_a, a) = pair[0];
-        let (off_b, _, b) = pair[1];
-        if off_a + len_a > off_b {
+        let (lane_a, off_a, len_a, a) = pair[0];
+        let (lane_b, off_b, _, b) = pair[1];
+        if lane_a == lane_b && off_a + len_a > off_b {
             r.push(
                 Code::PlanStorage,
                 &nodes[b].name,
@@ -309,6 +389,85 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
                      [{off_a}, {})",
                     nodes[a].name,
                     off_a + len_a
+                ),
+            );
+        }
+    }
+
+    // 1c. Depthwise channels the plan accumulates in i32 discharge the
+    // same obligation per channel, each a single row of kh·kw taps.
+    for (id, node) in nodes.iter().enumerate() {
+        let flags = plan.depthwise_narrow(id);
+        let channels: Vec<&[i64]> = match core(&node.op) {
+            IntOp::Conv {
+                w,
+                wdims,
+                depthwise: true,
+                ..
+            } => w.chunks((wdims[2] * wdims[3]).max(1)).collect(),
+            _ => Vec::new(),
+        };
+        if flags.len() != channels.len() {
+            r.push(
+                Code::PlanStorage,
+                &nodes[id].name,
+                format!(
+                    "plan flags {} depthwise channels, node has {} (path: {})",
+                    flags.len(),
+                    channels.len(),
+                    path_to(nodes, id)
+                ),
+            );
+            continue;
+        }
+        for (ch, wk) in channels.iter().enumerate().filter(|&(ch, _)| flags[ch]) {
+            if let Some(why) = narrow_obligation(wk, &[l1(wk.iter().copied())], xmax(id)) {
+                r.push(
+                    Code::PlanStorage,
+                    &nodes[id].name,
+                    format!(
+                        "depthwise channel {ch} accumulates in i32 without proof: {why} \
+                         (path: {})",
+                        path_to(nodes, id)
+                    ),
+                );
+            }
+        }
+    }
+
+    // 1d. Scratch accounting (V018): the wide lane checks out per-image
+    // i64 im2col columns, the narrow lane one i16 activation panel per
+    // conv column tile or a dense node's packed input rows.
+    let (mut wide_ws, mut narrow_ws) = (0usize, 0usize);
+    for (id, node) in nodes.iter().enumerate() {
+        let (Some(lane), Some(&i0)) = (plan.lane(id), node.inputs.first()) else {
+            continue;
+        };
+        let ish = &d.dims[i0];
+        match (core(&node.op), lane) {
+            (IntOp::Conv { geom, .. }, Lane::Wide) if ish.len() == 4 => {
+                let (oh, ow) = geom.out_size(ish[2], ish[3]);
+                wide_ws = wide_ws.max(ish[1] * geom.kh * geom.kw * oh * ow);
+            }
+            (IntOp::Conv { wdims, .. }, Lane::Narrow) => {
+                narrow_ws = narrow_ws.max(narrow_panel_len(2 * narrow_conv_kpairs(*wdims)));
+            }
+            (IntOp::Dense { in_dim, .. }, Lane::Narrow) => {
+                narrow_ws = narrow_ws.max(narrow_lhs_len(ish[0], *in_dim));
+            }
+            _ => {}
+        }
+    }
+    for (what, planned, need) in [
+        ("i64 im2col", plan.scratch_elems(), wide_ws),
+        ("i16 narrow-panel", plan.narrow_scratch_elems(), narrow_ws),
+    ] {
+        if planned != need {
+            r.push_global(
+                Code::PlanStorage,
+                format!(
+                    "plan accounts {planned} {what} scratch elements, kernel contracts \
+                     require {need}"
                 ),
             );
         }

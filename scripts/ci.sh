@@ -20,6 +20,12 @@ cargo test -q --offline --test int_pool_parity
 # zoo-wide) and the pre-packed weight-panel memoization oracle,
 # including concurrent executor sessions borrowing one plan arena.
 cargo test -q --offline --features tqt-fixedpoint/sanitize --test fusion_parity
+# Narrow-lane gate, also sanitized (the narrow conv carves (image, column
+# tile) output tiles the sanitizer audits): every proven-narrow
+# i16×i16→i32 node zoo-wide matches the exact-i128 wide oracle on the
+# same operands (values and sat/ovf counters), lane choice follows the
+# proof, and the scalar and AVX2 micro-kernels are bit-identical.
+cargo test -q --offline --features tqt-fixedpoint/sanitize --test narrow_lane_parity
 cargo test -q --offline -p tqt-fixedpoint --features sanitize --test pack_cache_oracle
 # Grid-type / rebalance gate, also sanitized: unmerged-lowered graphs
 # repaired by the rebalance pass must be well-typed (TQT-V031..V034),

@@ -20,7 +20,7 @@ use tqt_nn::Mode;
 use tqt_rt::check::Config;
 use tqt_rt::{check, pool, prop_assert};
 use tqt_tensor::init;
-use tqt_verify::{analyze, certify, checked_optimize, verify, Stage};
+use tqt_verify::{analyze, certify, check_plan, checked_optimize, verify, Code, Stage};
 
 const DIMS: [usize; 4] = [2, 2, 8, 8];
 
@@ -77,4 +77,61 @@ fn certified_random_graphs_are_bit_identical() {
         }
         Ok(())
     });
+}
+
+/// The plan checker re-proves every narrow lane from the interval
+/// analysis instead of trusting the planner: a plan that puts a node on
+/// the i16/i32 lane without the proof (`inject_unproven_narrow`, a
+/// 16-bit input grid whose `|x|` reaches 32768) must be refuted as
+/// `TQT-V018` naming that node, while the honest plan of the same graph
+/// is proven.
+#[test]
+fn unproven_narrow_lane_is_refuted() {
+    let g = common::two_lane_int_graph(5);
+    for batch in [1usize, 2] {
+        let mut plan = g.plan(&[batch, 2, 8, 8]);
+        let honest = check_plan(&g, &plan);
+        assert!(honest.is_clean(), "honest plan must be proven:\n{honest}");
+        let id = plan
+            .inject_unproven_narrow(&g)
+            .expect("the graph has a wide-lane node");
+        let name = &g.nodes()[id].name;
+        assert_eq!(name, "conv_wide");
+        let r = check_plan(&g, &plan);
+        assert!(
+            r.diags.iter().any(|d| d.code == Code::PlanStorage
+                && d.node.as_deref() == Some(name.as_str())
+                && d.detail.contains("narrow")),
+            "V018 must refute the unproven narrow lane at `{name}`:\n{r}"
+        );
+        // Only the lane proof fails: panel and scratch accounting were
+        // kept consistent by the mutation.
+        assert_eq!(r.diags.len(), 1, "{r}");
+    }
+}
+
+/// The same re-proof covers depthwise channels: flagging a channel of
+/// `dw_wide` (which reads a 64-bit accumulator format) as `i32`
+/// accumulation (`inject_unproven_narrow_depthwise`) must be refuted as
+/// `TQT-V018` at that node.
+#[test]
+fn unproven_narrow_depthwise_channel_is_refuted() {
+    let g = common::two_lane_int_graph(5);
+    for batch in [1usize, 2] {
+        let mut plan = g.plan(&[batch, 2, 8, 8]);
+        assert!(check_plan(&g, &plan).is_clean());
+        let (id, ch) = plan
+            .inject_unproven_narrow_depthwise()
+            .expect("the graph has a wide depthwise channel");
+        let name = &g.nodes()[id].name;
+        assert_eq!((name.as_str(), ch), ("dw_wide", 0));
+        let r = check_plan(&g, &plan);
+        assert!(
+            r.diags.iter().any(|d| d.code == Code::PlanStorage
+                && d.node.as_deref() == Some(name.as_str())
+                && d.detail.contains("depthwise channel 0")),
+            "V018 must refute the unproven depthwise channel at `{name}`:\n{r}"
+        );
+        assert_eq!(r.diags.len(), 1, "{r}");
+    }
 }

@@ -151,3 +151,79 @@ pub fn build(spec: &NetSpec) -> Graph {
     g.set_output(fc);
     g
 }
+
+/// A hand-lowered integer graph on `[n, 2, 8, 8]` inputs that puts both
+/// GEMM lanes to work: `conv_wide` reads a 16-bit input grid (`|x|` up
+/// to 32768, beyond the narrow lane's i16 proof), the depthwise
+/// `dw_wide` reads its 64-bit accumulator format (every channel on the
+/// i128 loop), `conv_narrow` reads an 8-bit requantized grid, and `fc`
+/// reads `conv_narrow`'s 64-bit accumulator format (wide again).
+pub fn two_lane_int_graph(seed: u64) -> tqt_fixedpoint::IntGraph {
+    use tqt_fixedpoint::lower::{IntNode, IntOp};
+    use tqt_fixedpoint::QFormat;
+    let mut rng = Rng::new(seed);
+    let mut weights = |len: usize| {
+        (0..len)
+            .map(|_| rng.gen_range(-300i64..301))
+            .collect::<Vec<_>>()
+    };
+    let conv = |w: Vec<i64>, cin: usize| IntOp::Conv {
+        w,
+        wdims: [4, cin, 3, 3],
+        bias: None,
+        geom: Conv2dGeom::same(3),
+        depthwise: false,
+        w_frac: 6,
+    };
+    let (w1, wdw) = (weights(4 * 2 * 9), weights(4 * 9));
+    let (w2, w3) = (weights(4 * 4 * 9), weights(4 * 64 * 3));
+    let node = |name: &str, op: IntOp, inputs: Vec<usize>| IntNode {
+        name: name.into(),
+        op,
+        inputs,
+    };
+    let nodes = vec![
+        node("input", IntOp::Input, vec![]),
+        node(
+            "q16",
+            IntOp::QuantF32 {
+                format: QFormat::new(10, 16, true),
+            },
+            vec![0],
+        ),
+        node("conv_wide", conv(w1, 2), vec![1]),
+        node(
+            "dw_wide",
+            IntOp::Conv {
+                w: wdw,
+                wdims: [4, 1, 3, 3],
+                bias: None,
+                geom: Conv2dGeom::same(3),
+                depthwise: true,
+                w_frac: 6,
+            },
+            vec![2],
+        ),
+        node(
+            "rq8",
+            IntOp::Requant {
+                format: QFormat::new(4, 8, false),
+            },
+            vec![3],
+        ),
+        node("conv_narrow", conv(w2, 4), vec![4]),
+        node("flat", IntOp::Flatten, vec![5]),
+        node(
+            "fc",
+            IntOp::Dense {
+                w: w3,
+                in_dim: 4 * 64,
+                out_dim: 3,
+                bias: Some(vec![5, -5, 0]),
+                w_frac: 6,
+            },
+            vec![6],
+        ),
+    ];
+    tqt_fixedpoint::IntGraph::from_parts(nodes, 7)
+}
