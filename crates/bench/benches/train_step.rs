@@ -4,14 +4,15 @@
 //! work exists to improve — every matmul, conv, quantizer and optimizer
 //! kernel is on this path.
 //!
-//! The headline `train_step/…` entry runs the planned path the trainer
-//! uses by default: the liveness-planned slot-reuse executor plus the
-//! pooled Adam over the contiguous parameter arena (bit-identical to the
-//! allocating path — `crates/core/tests/train_parity.rs`). The
-//! `train_step_legacy/…` entry keeps the allocating per-tensor path for
-//! comparison, and the report carries the planned executor's
-//! steady-state slot-allocation count (must be 0: after the first step,
-//! a training step performs no slot allocation at all).
+//! The headline `train_step/…` entry runs the trainer's step: the
+//! liveness-planned slot-reuse executor plus the pooled Adam over the
+//! contiguous parameter arena (bit-identical to the allocating reference
+//! — `crates/core/tests/train_parity.rs`). The `train_step_legacy/…`
+//! entry times that reference, the allocating per-tensor executor with
+//! the per-parameter Adam, as the same-run baseline, and the report
+//! carries the planned executor's steady-state slot-allocation count
+//! (must be 0: after the first step, a training step performs no slot
+//! allocation at all).
 
 use tqt::config::TrainHyper;
 use tqt_data::{train_val, BatchIter, SynthConfig};
@@ -21,7 +22,7 @@ use tqt_graph::{
 };
 use tqt_models::{ModelKind, INPUT_DIMS};
 use tqt_nn::loss::softmax_cross_entropy;
-use tqt_nn::optim::{Adam, Optimizer};
+use tqt_nn::optim::Adam;
 use tqt_nn::{Mode, ParamKind, PooledAdam};
 use tqt_rt::bench::{black_box, Bench, Report};
 
@@ -52,11 +53,11 @@ fn main() {
     let mut dims = INPUT_DIMS;
     dims[0] = batch;
 
-    // Planned path (the trainer's default): slot-reuse executor + pooled
-    // Adam over the parameter arena.
+    // The trainer's path: slot-reuse executor + pooled Adam over the
+    // parameter arena.
     let mut g = build();
     let mut arena = build_arena(&mut g);
-    let plan = FloatPlan::new(&mut g, &dims);
+    let plan = FloatPlan::new(&g, &dims);
     let mut ex = FloatExecutor::new(plan, &g);
     let mut weight_opt = PooledAdam::paper(hyper.weight_lr, &arena);
     let mut thresh_opt = PooledAdam::paper(hyper.threshold_lr, &arena);
@@ -87,7 +88,7 @@ fn main() {
         "planned executor allocated slot memory in steady state"
     );
 
-    // Legacy allocating path, kept as the comparison baseline.
+    // Legacy allocating reference, kept as the same-run baseline.
     let mut g = build();
     let mut weight_opt = Adam::paper(hyper.weight_lr);
     let mut thresh_opt = Adam::paper(hyper.threshold_lr);

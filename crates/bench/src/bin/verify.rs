@@ -239,8 +239,8 @@ fn check_model(
     // Float training-plan alias-freedom proof (`TQT-V016`…`V018` over the
     // forward+backward tape): the same slot assignment the planned trainer
     // executes is proven here, on the exact graph the QAT step just ran.
-    let fplan = FloatPlan::new(&mut g, &dims);
-    report.merge(check_float_plan(&mut g, &fplan));
+    let fplan = FloatPlan::new(&g, &dims);
+    report.merge(check_float_plan(&g, &fplan));
     lap(&mut timings, &mut t, "fplan");
 
     // Grid-type inference over the calibrated float graph: every edge

@@ -64,16 +64,22 @@ pub struct LayerDist {
 }
 
 /// Captures the distribution seen by every quantizer in a quantized graph:
-/// weight quantizers report the (full-precision) weight tensor, activation
+/// weight quantizers report the full-precision weight tensor, activation
 /// quantizers the activation produced by their input node for `sample`.
+/// Every parameter and batch-norm running statistic is left as found.
 ///
 /// # Panics
 ///
 /// Panics if the graph is not quantized/calibrated.
 pub fn capture_distributions(g: &mut Graph, sample: &Tensor, bins: usize) -> Vec<LayerDist> {
-    // A training-mode forward retains per-node activations.
+    // A training-mode forward retains per-node activations, but it also
+    // leaves each weight-quantized node holding its quantized weights (the
+    // backward pass would restore them) and updates batch-norm running
+    // statistics. Snapshot before and restore after.
+    let saved = g.state_dict();
     let _ = g.forward(sample, Mode::Train);
     let acts: Vec<Tensor> = g.activations().to_vec();
+    g.load_state_dict(&saved);
     let mut out = Vec::new();
     for id in 0..g.len() {
         // Activation quantizers: histogram of the input activation.
@@ -158,5 +164,19 @@ mod tests {
             assert!(d.raw_threshold > 0.0);
             assert!(d.hist.counts.iter().sum::<u32>() > 0);
         }
+    }
+
+    #[test]
+    fn capture_leaves_the_state_dict_as_found() {
+        let mut g = ModelKind::MobileNetV1.build(1);
+        transforms::optimize(&mut g, &INPUT_DIMS);
+        quantize_graph(&mut g, QuantizeOptions::retrain_wt_th(WeightBits::Int8));
+        let mut rng = init::rng(10);
+        let x = init::normal([2, 3, 32, 32], 0.0, 1.0, &mut rng);
+        g.calibrate(&x);
+        let before = g.state_dict();
+        let dists = capture_distributions(&mut g, &x, 32);
+        assert!(!dists.is_empty());
+        assert_eq!(g.state_dict(), before);
     }
 }

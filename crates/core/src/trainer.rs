@@ -10,67 +10,9 @@ use tqt_graph::{
     FloatPlan, Graph, Op,
 };
 use tqt_nn::loss::{softmax_cross_entropy, topk_accuracy};
-use tqt_nn::optim::{Adam, Optimizer};
 use tqt_nn::schedule::StaircaseDecay;
-use tqt_nn::{Mode, ParamArena, ParamKind, PooledAdam};
+use tqt_nn::{Mode, ParamKind, PooledAdam};
 use tqt_quant::freeze::FreezeController;
-
-/// Execution + optimizer backend for one training run.
-///
-/// `Planned` compiles the forward+backward tape once onto the
-/// liveness-planned slot-reuse executor and keeps every parameter in a
-/// contiguous arena updated by the pooled Adam; `Legacy` is the original
-/// allocating per-tensor path. The two produce bit-identical training
-/// trajectories (`crates/core/tests/train_parity.rs`), so `planned` is
-/// purely a performance switch.
-enum Engine {
-    Legacy {
-        weight_opt: Adam,
-        thresh_opt: Adam,
-    },
-    Planned {
-        arena: ParamArena,
-        ex: Box<FloatExecutor>,
-        weight_opt: PooledAdam,
-        thresh_opt: PooledAdam,
-    },
-}
-
-impl Engine {
-    /// Builds the engine chosen by `hyper.planned` for a fixed batch
-    /// shape (`BatchIter` yields full batches only, so `dims` holds for
-    /// every training step of the run).
-    fn build(g: &mut Graph, hyper: &TrainHyper, dims: &[usize]) -> Engine {
-        if hyper.planned {
-            let arena = build_arena(g);
-            let plan = FloatPlan::new(g, dims);
-            let ex = Box::new(FloatExecutor::new(plan, g));
-            let weight_opt = PooledAdam::paper(hyper.weight_lr, &arena);
-            let thresh_opt = PooledAdam::paper(hyper.threshold_lr, &arena);
-            Engine::Planned {
-                arena,
-                ex,
-                weight_opt,
-                thresh_opt,
-            }
-        } else {
-            Engine::Legacy {
-                weight_opt: Adam::paper(hyper.weight_lr),
-                thresh_opt: Adam::paper(hyper.threshold_lr),
-            }
-        }
-    }
-
-    /// Makes the graph's own parameter tensors current (the arena is
-    /// authoritative for layer parameters on the planned path). Call
-    /// before anything that reads the graph directly: `evaluate`,
-    /// `state_dict`.
-    fn flush(&self, g: &mut Graph) {
-        if let Engine::Planned { arena, .. } = self {
-            flush_arena(g, arena);
-        }
-    }
-}
 
 /// A validation measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,7 +114,16 @@ pub fn train(
     let steps_per_epoch = (train_data.len() / hyper.batch) as u64;
     assert!(steps_per_epoch > 0, "dataset smaller than one batch");
 
-    let mut engine: Option<Engine> = None;
+    // The training step runs on the liveness-planned slot-reuse executor,
+    // with every layer parameter in a contiguous arena stepped by one
+    // pooled Adam per parameter group. `BatchIter` yields full batches
+    // only, so one plan at the batch shape serves every step of the run.
+    let mut dims = train_data.images.dims().to_vec();
+    dims[0] = hyper.batch;
+    let mut arena = build_arena(g);
+    let mut ex = FloatExecutor::new(FloatPlan::new(g, &dims), g);
+    let mut weight_opt = PooledAdam::paper(hyper.weight_lr, &arena);
+    let mut thresh_opt = PooledAdam::paper(hyper.threshold_lr, &arena);
     let weight_sched = StaircaseDecay::new(
         hyper.weight_lr,
         hyper.weight_decay,
@@ -219,39 +170,11 @@ pub fn train(
                 freeze_all_batchnorms(g);
                 bn_frozen = true;
             }
-            // The engine is built on the first batch: the plan needs the
-            // input dims, which only the data knows.
-            if engine.is_none() {
-                engine = Some(Engine::build(g, hyper, x.dims()));
-            }
-            let eng = engine.as_mut().expect("engine built above");
-
-            let logits = match eng {
-                Engine::Legacy { .. } => g.forward(&x, Mode::Train),
-                Engine::Planned { arena, ex, .. } => ex.forward(g, arena, &x),
-            };
-            // Float-exec runtime sanitizer (debug builds): a NaN/Inf in any
-            // activation means diverged thresholds or a broken transform,
-            // and would poison every later step silently. The planned
-            // executor asserts per node as it runs; the legacy path keeps
-            // its retained activations, counted here.
-            #[cfg(debug_assertions)]
-            if matches!(eng, Engine::Legacy { .. }) {
-                let (nan, inf) = g.nonfinite_counts();
-                assert!(
-                    nan == 0 && inf == 0,
-                    "non-finite activations at step {step}: {nan} NaN, {inf} Inf"
-                );
-            }
+            let logits = ex.forward(g, &arena, &x);
             let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
             g.zero_grads();
-            match eng {
-                Engine::Legacy { .. } => g.backward(&dlogits),
-                Engine::Planned { arena, ex, .. } => {
-                    arena.zero_grads();
-                    ex.backward(g, arena, &dlogits);
-                }
-            }
+            arena.zero_grads();
+            ex.backward(g, &mut arena, &dlogits);
 
             // Threshold freezing: observe values/gradients, then allow at
             // most one freeze per interval.
@@ -273,51 +196,24 @@ pub fn train(
                 }
             }
 
-            match eng {
-                Engine::Legacy {
-                    weight_opt,
-                    thresh_opt,
-                } => {
-                    weight_opt.set_lr(weight_sched.at(step));
-                    thresh_opt.set_lr(thresh_sched.at(step));
-                    let mut params = g.params_mut();
-                    let mut weights: Vec<&mut tqt_nn::Param> = Vec::new();
-                    let mut thresholds: Vec<&mut tqt_nn::Param> = Vec::new();
-                    for p in params.drain(..) {
-                        if p.kind == ParamKind::Threshold {
-                            thresholds.push(p);
-                        } else {
-                            weights.push(p);
-                        }
-                    }
-                    weight_opt.step(&mut weights);
-                    thresh_opt.step(&mut thresholds);
-                }
-                Engine::Planned {
-                    arena,
-                    weight_opt,
-                    thresh_opt,
-                    ..
-                } => {
-                    weight_opt.set_lr(weight_sched.at(step));
-                    thresh_opt.set_lr(thresh_sched.at(step));
-                    weight_opt.step(
-                        arena,
-                        &[ParamKind::Weight, ParamKind::Bias, ParamKind::BatchNorm],
-                    );
-                    // Thresholds are authoritative on the graph (the
-                    // freezer and calibration mutate it): push the
-                    // values/gradients/flags in, step, pull the updated
-                    // values back out.
-                    sync_thresholds_to_arena(g, arena);
-                    thresh_opt.step(arena, &[ParamKind::Threshold]);
-                    sync_thresholds_from_arena(g, arena);
-                }
-            }
+            weight_opt.set_lr(weight_sched.at(step));
+            thresh_opt.set_lr(thresh_sched.at(step));
+            weight_opt.step(
+                &mut arena,
+                &[ParamKind::Weight, ParamKind::Bias, ParamKind::BatchNorm],
+            );
+            // Thresholds are authoritative on the graph (the freezer and
+            // calibration mutate it): push the values/gradients/flags in,
+            // step, pull the updated values back out.
+            sync_thresholds_to_arena(g, &mut arena);
+            thresh_opt.step(&mut arena, &[ParamKind::Threshold]);
+            sync_thresholds_from_arena(g, &arena);
             step += 1;
 
             if step.is_multiple_of(hyper.val_every) {
-                eng.flush(g);
+                // The arena is authoritative for layer parameters: make
+                // the graph's own tensors current before reading it.
+                flush_arena(g, &arena);
                 let (top1, top5, loss) = evaluate(g, val_data, hyper.batch);
                 let point = ValPoint {
                     step,
@@ -335,9 +231,7 @@ pub fn train(
     }
     // Final validation in case val_every did not divide the step count.
     if history.last().map(|p| p.step != step).unwrap_or(true) {
-        if let Some(eng) = &engine {
-            eng.flush(g);
-        }
+        flush_arena(g, &arena);
         let (top1, top5, loss) = evaluate(g, val_data, hyper.batch);
         let point = ValPoint {
             step,

@@ -1,17 +1,149 @@
-//! Planned-vs-legacy trainer bit-identity: `TrainHyper::planned` must be
-//! a pure performance switch. Full `train()` runs — Adam for both
-//! parameter groups, staircase LR decay, batch-norm statistic freezing,
-//! incremental threshold freezing, validation with best-checkpoint
-//! restore — on the planned slot-reuse executor and on the allocating
-//! legacy path must produce bit-equal validation histories, threshold
-//! traces, and final parameters, at 1 and 4 threads.
+//! Trainer bit-identity against the legacy reference. `train()` runs the
+//! liveness-planned slot-reuse executor with pooled Adam over a
+//! contiguous parameter arena; [`reference_train`] below rebuilds the same
+//! loop from the public legacy API only — the allocating
+//! `Graph::forward(Mode::Train)` / `Graph::backward` executor and the
+//! name-keyed per-parameter `optim::Adam` — with the same freezer,
+//! staircase and validation glue. Full runs (Adam for both parameter
+//! groups, staircase LR decay, batch-norm statistic freezing, incremental
+//! threshold freezing, validation with best-checkpoint restore) must
+//! produce bit-equal validation histories, threshold traces, and final
+//! parameters, at 1 and 4 threads.
 
-use tqt::trainer::train;
-use tqt::{TrainHyper, TrainResult};
-use tqt_data::{train_val, Dataset, SynthConfig};
+use tqt::trainer::{evaluate, freeze_all_batchnorms, train};
+use tqt::{TrainHyper, TrainResult, ValPoint};
+use tqt_data::{train_val, BatchIter, Dataset, SynthConfig};
 use tqt_graph::{quantize_graph, transforms, Graph, QuantizeOptions, WeightBits};
 use tqt_models::{ModelKind, INPUT_DIMS};
+use tqt_nn::loss::softmax_cross_entropy;
+use tqt_nn::optim::Adam;
+use tqt_nn::schedule::StaircaseDecay;
+use tqt_nn::{Mode, Param, ParamKind};
+use tqt_quant::freeze::FreezeController;
 use tqt_rt::pool;
+
+/// The reference trainer: `train()`'s schedule, freezing and validation,
+/// stepped by the allocating legacy executor and the per-parameter Adam.
+fn reference_train(
+    g: &mut Graph,
+    train_data: &Dataset,
+    val_data: &Dataset,
+    hyper: &TrainHyper,
+) -> TrainResult {
+    let steps_per_epoch = (train_data.len() / hyper.batch) as u64;
+    let mut weight_opt = Adam::paper(hyper.weight_lr);
+    let mut thresh_opt = Adam::paper(hyper.threshold_lr);
+    let weight_sched = StaircaseDecay::new(
+        hyper.weight_lr,
+        hyper.weight_decay,
+        hyper.weight_decay_interval,
+    );
+    let thresh_sched = StaircaseDecay::new(
+        hyper.threshold_lr,
+        hyper.threshold_decay,
+        hyper.threshold_decay_interval,
+    );
+    let trainable_tids: Vec<usize> = g
+        .thresholds()
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| t.param.trainable)
+        .map(|(i, _)| i)
+        .collect();
+    let mut freezer = FreezeController::new(
+        trainable_tids.len(),
+        hyper.freeze_start,
+        hyper.freeze_interval,
+        0.9,
+    );
+    let log2_ts = |g: &Graph| -> Vec<f32> {
+        trainable_tids
+            .iter()
+            .map(|&i| g.thresholds()[i].log2_t())
+            .collect()
+    };
+    let threshold_names: Vec<String> = trainable_tids
+        .iter()
+        .map(|&i| g.thresholds()[i].param.name.clone())
+        .collect();
+    let threshold_init = log2_ts(g);
+    let mut threshold_trace: Vec<Vec<f32>> = Vec::new();
+    let mut best: Option<(ValPoint, tqt_graph::state::StateDict)> = None;
+    let mut history = Vec::new();
+    let mut step: u64 = 0;
+    let mut bn_frozen = false;
+
+    let mut validate = |g: &mut Graph, step: u64, history: &mut Vec<ValPoint>| {
+        let (top1, top5, loss) = evaluate(g, val_data, hyper.batch);
+        let point = ValPoint {
+            step,
+            epoch: step as f32 / steps_per_epoch as f32,
+            loss,
+            top1,
+            top5,
+        };
+        history.push(point);
+        if best.as_ref().map(|(b, _)| top1 > b.top1).unwrap_or(true) {
+            best = Some((point, g.state_dict()));
+        }
+    };
+
+    for epoch in 0..hyper.epochs {
+        for (x, labels) in BatchIter::new(train_data, hyper.batch, hyper.seed, epoch as u64) {
+            if !bn_frozen && step >= hyper.bn_freeze_after {
+                freeze_all_batchnorms(g);
+                bn_frozen = true;
+            }
+            let logits = g.forward(&x, Mode::Train);
+            let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
+            g.zero_grads();
+            g.backward(&dlogits);
+
+            if !trainable_tids.is_empty() {
+                let values = log2_ts(g);
+                for (ci, &tid) in trainable_tids.iter().enumerate() {
+                    let t = &g.thresholds()[tid];
+                    freezer.observe(ci, t.log2_t(), t.param.grad.item());
+                }
+                if let Some(ci) = freezer.step(step, &values) {
+                    g.thresholds_mut()[trainable_tids[ci]].param.trainable = false;
+                }
+                if threshold_trace.len() < TrainResult::TRACE_STEPS {
+                    threshold_trace.push(values);
+                }
+            }
+
+            weight_opt.set_lr(weight_sched.at(step));
+            thresh_opt.set_lr(thresh_sched.at(step));
+            let (mut thresholds, mut weights): (Vec<&mut Param>, Vec<&mut Param>) = g
+                .params_mut()
+                .into_iter()
+                .partition(|p| p.kind == ParamKind::Threshold);
+            weight_opt.step(&mut weights);
+            thresh_opt.step(&mut thresholds);
+            step += 1;
+
+            if step.is_multiple_of(hyper.val_every) {
+                validate(g, step, &mut history);
+            }
+        }
+    }
+    if history.last().map(|p| p.step != step).unwrap_or(true) {
+        validate(g, step, &mut history);
+    }
+
+    let (best_point, best_state) = best.expect("at least one validation ran");
+    g.load_state_dict(&best_state);
+    TrainResult {
+        best: best_point,
+        history,
+        threshold_names,
+        threshold_init,
+        threshold_final: log2_ts(g),
+        threshold_trace,
+        steps_run: step,
+    }
+}
 
 fn tiny_data() -> (Dataset, Dataset) {
     let cfg = SynthConfig {
@@ -57,8 +189,11 @@ fn run(planned: bool, quantized: bool, threads: usize) -> (TrainResult, Graph) {
     if !quantized {
         h.bn_freeze_after = 10;
     }
-    h.planned = planned;
-    let r = train(&mut g, &train_d, &val_d, &h);
+    let r = if planned {
+        train(&mut g, &train_d, &val_d, &h)
+    } else {
+        reference_train(&mut g, &train_d, &val_d, &h)
+    };
     pool::set_threads(0);
     (r, g)
 }

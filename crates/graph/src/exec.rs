@@ -1,6 +1,6 @@
 //! Graph execution: forward (with optional on-the-fly threshold
 //! calibration, performed in strict topological order as the paper
-//! requires), backward, and shape inference.
+//! requires) and backward.
 
 use crate::ir::{Graph, Op, ThresholdMode};
 use tqt_nn::{Layer, Mode, ParamKind};
@@ -223,8 +223,8 @@ impl Graph {
     /// Float-exec runtime sanitizer: `(nan, inf)` element counts over the
     /// per-node activations retained by the most recent training-mode
     /// forward pass (both zero when no activations are retained). A
-    /// healthy QAT step observes `(0, 0)`; the trainer asserts this in
-    /// debug builds.
+    /// healthy QAT step observes `(0, 0)`; the `verify` binary's QAT smoke
+    /// step checks this.
     pub fn nonfinite_counts(&self) -> (usize, usize) {
         let mut nan = 0;
         let mut inf = 0;
@@ -238,41 +238,6 @@ impl Graph {
             }
         }
         (nan, inf)
-    }
-
-    /// Per-node output shapes for a given input shape, via a dry run with a
-    /// zero batch. Useful for transforms that need channel counts.
-    pub fn infer_shapes(&mut self, input_dims: &[usize]) -> Vec<Vec<usize>> {
-        let x = Tensor::zeros(input_dims.to_vec());
-        let n = self.nodes.len();
-        let mut shapes = vec![Vec::new(); n];
-        let mut acts: Vec<Option<Tensor>> = vec![None; n];
-        let Graph {
-            nodes, thresholds, ..
-        } = self;
-        for id in 0..n {
-            let node = &mut nodes[id];
-            let out = match &mut node.op {
-                Op::Input => x.clone(),
-                Op::Identity => acts[node.inputs[0]].clone().unwrap(), // tqt:allow(unwrap): topological order computes inputs before consumers
-                Op::Quant { tid } => {
-                    // Shape-preserving; avoid requiring calibration.
-                    let _ = &thresholds[*tid];
-                    acts[node.inputs[0]].clone().unwrap() // tqt:allow(unwrap): topological order computes inputs before consumers
-                }
-                op => {
-                    let inputs: Vec<&Tensor> = node
-                        .inputs
-                        .iter()
-                        .map(|&i| acts[i].as_ref().unwrap()) // tqt:allow(unwrap): topological order computes inputs before consumers
-                        .collect();
-                    op_forward(op, &inputs, Mode::Eval)
-                }
-            };
-            shapes[id] = out.dims().to_vec();
-            acts[id] = Some(out);
-        }
-        shapes
     }
 }
 
@@ -353,7 +318,7 @@ mod tests {
     #[test]
     fn infer_shapes_matches_forward() {
         let mut rng = init::rng(51);
-        let mut g = small_net(&mut rng);
+        let g = small_net(&mut rng);
         let shapes = g.infer_shapes(&[1, 1, 8, 8]);
         assert_eq!(shapes[g.find("conv1").unwrap()], vec![1, 4, 8, 8]);
         assert_eq!(shapes[g.find("fc").unwrap()], vec![1, 3]);

@@ -115,12 +115,11 @@ pub struct FloatPlan {
 
 impl FloatPlan {
     /// Compiles a training-step plan for `g` at the given input shape.
-    /// `g` is only mutated by shape inference (a dry forward run).
     ///
     /// # Panics
     ///
     /// Panics if the graph has no input/output or shape inference fails.
-    pub fn new(g: &mut Graph, input_dims: &[usize]) -> Self {
+    pub fn new(g: &Graph, input_dims: &[usize]) -> Self {
         let shapes = g.infer_shapes(input_dims);
         let n = g.len();
         let out_id = g.output_id();

@@ -8,8 +8,10 @@
 //!   Quantizer thresholds live in a side table so several quant ops can
 //!   share one scale (the paper's merged `q'` scales for concat,
 //!   eltwise-add and bias).
-//! * [`exec`] — topological forward/backward execution, on-the-fly
-//!   topological calibration, shape inference.
+//! * [`exec`] — topological forward/backward execution and on-the-fly
+//!   topological calibration.
+//! * [`shape`] — symbolic shape inference: the one per-op shape rule,
+//!   shared with the `tqt-verify` shape pass.
 //! * [`transforms`] — batch-norm folding, identity splicing,
 //!   concat-of-concat collapsing, avgpool → depthwise conversion.
 //! * [`quantize`] — the automatic quantization pass implementing the
@@ -24,6 +26,7 @@ pub mod fexec;
 pub mod fplan;
 pub mod ir;
 pub mod quantize;
+pub mod shape;
 pub mod state;
 pub mod transforms;
 

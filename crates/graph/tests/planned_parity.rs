@@ -17,7 +17,7 @@ use tqt_nn::{
 };
 use tqt_rt::pool;
 use tqt_tensor::conv::Conv2dGeom;
-use tqt_tensor::{init, Tensor};
+use tqt_tensor::init;
 
 const DIMS: [usize; 4] = [4, 3, 8, 8];
 
@@ -97,7 +97,7 @@ fn run_parity(threads: usize, steps: usize, quantized: bool) {
     }
 
     let mut arena = build_arena(&mut gp);
-    let plan = FloatPlan::new(&mut gp, &DIMS);
+    let plan = FloatPlan::new(&gp, &DIMS);
     let mut ex = FloatExecutor::new(plan, &gp);
     let n_thresh = gl.thresholds().len();
     let n_layer_params = arena.segments().len() - n_thresh;
@@ -223,8 +223,8 @@ fn planned_quantized_step_matches_legacy_four_threads() {
 #[test]
 fn float_plan_is_deterministic() {
     let build = || {
-        let mut g = make_net(5, true);
-        let p = FloatPlan::new(&mut g, &DIMS);
+        let g = make_net(5, true);
+        let p = FloatPlan::new(&g, &DIMS);
         let slots: Vec<usize> = (0..p.num_values()).map(|v| p.slot_of(v)).collect();
         (p.num_slots(), p.total_buffer_elems(), slots)
     };
@@ -236,8 +236,8 @@ fn float_plan_is_deterministic() {
 /// path's retained-tensor footprint).
 #[test]
 fn float_plan_reuses_slots() {
-    let mut g = make_net(6, true);
-    let p = FloatPlan::new(&mut g, &DIMS);
+    let g = make_net(6, true);
+    let p = FloatPlan::new(&g, &DIMS);
     let naive: usize = (0..p.num_values()).map(|v| p.len_of(v)).sum();
     assert!(
         p.total_buffer_elems() < naive * 7 / 10,

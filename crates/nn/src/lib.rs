@@ -8,14 +8,14 @@
 //! Provides the [`Layer`] trait and implementations for every operation the
 //! paper's model zoo needs (dense, conv2d, depthwise conv, batch-norm with
 //! freezeable statistics, ReLU/ReLU6/leaky-ReLU, max/avg/global pooling,
-//! eltwise-add, concat, flatten), softmax cross-entropy, SGD/Adam/RMSProp
-//! optimizers with name-keyed state, and the paper's staircase learning-rate
-//! schedules.
+//! eltwise-add, concat, flatten), softmax cross-entropy, the pooled Adam
+//! over a contiguous parameter arena (with a name-keyed per-parameter Adam
+//! as its reference), and the paper's staircase learning-rate schedules.
 //!
 //! # Examples
 //!
 //! ```
-//! use tqt_nn::{Dense, Layer, Mode, optim::{Adam, Optimizer}};
+//! use tqt_nn::{Dense, Layer, Mode, optim::Adam};
 //! use tqt_tensor::{init, Tensor};
 //!
 //! let mut rng = init::rng(0);

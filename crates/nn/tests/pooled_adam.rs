@@ -5,7 +5,7 @@
 //! trainer's switch to [`tqt_nn::PooledAdam`] is only sound if parameter
 //! evolution does not change by a single bit.
 
-use tqt_nn::optim::{Adam, Optimizer};
+use tqt_nn::optim::Adam;
 use tqt_nn::{Param, ParamArena, ParamKind, PooledAdam};
 use tqt_rt::pool;
 use tqt_tensor::init;

@@ -28,8 +28,12 @@ pub fn black_box<T>(x: T) -> T {
 pub struct Stats {
     /// Benchmark name.
     pub name: String,
-    /// Median per-call time.
+    /// Median per-call time (truncated to whole nanoseconds).
     pub median: Duration,
+    /// Median per-call time in seconds, unrounded: a trivial body can
+    /// take well under a nanosecond per call, which `median` truncates
+    /// to zero. Throughput and the JSON form use this value.
+    median_secs: f64,
     /// Inter-quartile range (q3 − q1) of per-call time.
     pub iqr: Duration,
     /// Number of timed samples.
@@ -44,7 +48,7 @@ pub struct Stats {
 impl Stats {
     /// Elements-per-second throughput for a per-call element count.
     pub fn throughput(&self, elems_per_call: u64) -> f64 {
-        elems_per_call as f64 / self.median.as_secs_f64()
+        elems_per_call as f64 / self.median_secs
     }
 
     /// Machine-readable form of this result (durations in nanoseconds,
@@ -54,7 +58,7 @@ impl Stats {
         obj.insert("name".to_string(), Json::from(self.name.as_str()));
         obj.insert(
             "median_ns".to_string(),
-            Json::from(self.median.as_nanos() as f64),
+            Json::from(self.median_secs * 1e9),
         );
         obj.insert("iqr_ns".to_string(), Json::from(self.iqr.as_nanos() as f64));
         obj.insert("samples".to_string(), Json::from(self.samples));
@@ -264,9 +268,11 @@ impl Bench {
             let frac = idx - lo as f64;
             times[lo] * (1.0 - frac) + times[hi] * frac
         };
+        let median_secs = q(0.5);
         Stats {
             name: name.to_string(),
-            median: Duration::from_secs_f64(q(0.5)),
+            median: Duration::from_secs_f64(median_secs),
+            median_secs,
             iqr: Duration::from_secs_f64((q(0.75) - q(0.25)).max(0.0)),
             samples: times.len(),
             iters_per_sample: iters,

@@ -556,9 +556,10 @@ pub fn check_plan_with(g: &IntGraph, plan: &IntPlan, facts: &[NodeFacts]) -> Rep
 /// inference plans to the full forward+backward tape. The planner is
 /// again untrusted:
 ///
-/// * value element counts are re-derived from the legacy executor's own
-///   shape inference (a dry run of the reference path, not a call into
-///   the planner) and compared per value (`TQT-V018`);
+/// * value element counts are re-derived from `Graph::infer_shapes` (the
+///   symbolic per-op shape rule, itself tested against the dims the
+///   legacy forward produces zoo-wide) and compared per value
+///   (`TQT-V018`);
 /// * the plan-owned `ws`/`wpack`/`qw` arena accounting is re-derived from
 ///   the kernel workspace contracts (`conv2d_fwd_ws`, `conv2d_bwd_ws`,
 ///   depthwise `n·kelems`, `packed_a_len`) and the graph's weight
@@ -572,10 +573,10 @@ pub fn check_plan_with(g: &IntGraph, plan: &IntPlan, facts: &[NodeFacts]) -> Rep
 ///   reads of earlier-defined values are validated *before* the step's
 ///   writes land, reads of step-local values after.
 ///
-/// `g` is only mutated by shape inference. A clean [`Report`] is the
-/// proof; the float mutation test injects a premature slot release and
-/// asserts the refutation names the victim value.
-pub fn check_float_plan(g: &mut Graph, plan: &FloatPlan) -> Report {
+/// A clean [`Report`] is the proof; the float mutation test injects a
+/// premature slot release and asserts the refutation names the victim
+/// value.
+pub fn check_float_plan(g: &Graph, plan: &FloatPlan) -> Report {
     let mut r = Report::new();
     let n = g.len();
     let shapes = g.infer_shapes(plan.input_dims());

@@ -236,9 +236,9 @@ const FDIMS: [usize; 4] = [2, 3, 8, 8];
 
 #[test]
 fn unmutated_float_plan_is_proven() {
-    let mut g = float_skip_graph();
-    let plan = FloatPlan::new(&mut g, &FDIMS);
-    let r = check_float_plan(&mut g, &plan);
+    let g = float_skip_graph();
+    let plan = FloatPlan::new(&g, &FDIMS);
+    let r = check_float_plan(&g, &plan);
     assert!(r.is_clean(), "{r}");
 }
 
@@ -249,14 +249,14 @@ fn unmutated_float_plan_is_proven() {
 /// naming the victim).
 #[test]
 fn float_premature_release_is_refuted() {
-    let mut g = float_skip_graph();
-    let mut plan = FloatPlan::new(&mut g, &FDIMS);
+    let g = float_skip_graph();
+    let mut plan = FloatPlan::new(&g, &FDIMS);
     let (victim, clobberer, _stranded) = plan
         .inject_premature_release()
         .expect("graph must offer an eligible early-release triple");
     let victim_name = plan.value_name(&g, victim);
     let clobberer_name = plan.value_name(&g, clobberer);
-    let r = check_float_plan(&mut g, &plan);
+    let r = check_float_plan(&g, &plan);
 
     assert!(r.has(Code::PlanAlias), "V016 expected, got:\n{r}");
     assert!(

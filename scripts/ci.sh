@@ -49,12 +49,16 @@ cargo test -q --offline -p tqt-rt --test serial_no_spawn
 # exactly the batch-1 logits with zero steady-state executor allocations.
 cargo test -q --offline -p tqt-rt --test batch_model
 cargo test -q --offline --features tqt-fixedpoint/sanitize --test serve_parity
-# Planned-trainer gate, also under sanitize so the happens-before
-# sanitizer audits the pooled optimizer's and planned executor's parallel
-# regions: full train() runs on the slot-reuse executor must be
-# bit-identical to the legacy allocating path (losses, thresholds,
-# checkpointed parameters) at 1 and 4 threads.
+# Trainer gate, also under sanitize so the happens-before sanitizer
+# audits the pooled optimizer's and planned executor's parallel regions:
+# full train() runs (slot-reuse executor, pooled Adam) must be
+# bit-identical (losses, thresholds, checkpointed parameters) at 1 and 4
+# threads to a test-side reference trainer built from the legacy
+# allocating executor and the per-parameter Adam.
 cargo test -q --offline -p tqt --features tqt-fixedpoint/sanitize --test train_parity
+# The bench harness's own tests in release: optimized bodies can run in
+# under a nanosecond per call, a case debug builds never reach.
+cargo test -q --release --offline -p tqt-rt --lib
 cargo clippy --offline -- -D warnings
 # Forbidden-pattern gate: unwrap/expect in the numeric substrates,
 # narrowing casts in requant, float equality outside tests, and thread
