@@ -15,8 +15,8 @@
 //!   255, which no `i8` panel holds. [`narrow_micro`] accumulates one
 //!   `NMR × NNR` i32 tile (AVX2 when the CPU has it, a scalar loop over
 //!   the same layout otherwise; the two are bit-identical, wrapping
-//!   included). Each finished accumulator is widened to `i128` and goes
-//!   through the same [`Epilogue`] as the wide lane, so outputs and
+//!   included). Each finished `i32` tile row is stored through the same
+//!   row [`Epilogue`] as the wide lane's `i128` rows, so outputs and
 //!   saturation/overflow counts are bit-identical to it.
 //! * **Wide lane** — [`gemm_i64_narrow_fused`]: `i64 × i64` with exact
 //!   `i128` accumulation over `MRB × NCB` stack tiles, narrowed to `i64`
@@ -34,15 +34,28 @@
 //! permutes the operand; every product is still accumulated in
 //! ascending-`k` order, so packed and row-major calls are bit-identical.
 //!
-//! **Fused epilogue.** An [`Epilogue`] adds the row/column biases to the
-//! exact accumulator, narrows it, then applies an ordered list of
-//! [`TileStep`]s while the value is still in registers: requantization
-//! (with saturation counting), a residual add (with wrap counting),
-//! (capped) ReLU and leaky ReLU. Each step replays the corresponding
-//! standalone kernel of [`crate::plan`] per element, which is what makes
-//! graph-level fusion bit-exact (`tests/fusion_parity.rs`). The step
-//! list holds no borrowed data, so the plan builds it once per node; the
-//! residual operand is resolved per run.
+//! **Row epilogue.** Every kernel stores its accumulators one output row
+//! segment at a time through [`Epilogue::store_row`]: one pass adds the
+//! row/column biases to each accumulator ([`Acc`]: the narrow lane's
+//! `i32`, the wide lane's exact `i128`) and narrows it into the output
+//! row, then each [`TileStep`] runs as its own tight loop over that row:
+//! requantization (with saturation counting), a residual add (with wrap
+//! counting), (capped) ReLU and leaky ReLU. Each step performs exactly
+//! the per-element operation of the corresponding standalone kernel of
+//! [`crate::plan`], which is what makes graph-level fusion bit-exact
+//! (`tests/fusion_parity.rs`; the row form against a per-element oracle
+//! in `crates/fixedpoint/tests/epilogue_oracle.rs`). The row store is one
+//! body compiled twice, for the baseline target and for AVX2, and picks
+//! the AVX2 build at run time when the CPU has it, like [`narrow_micro`].
+//! The step list holds no borrowed data, so the plan builds it once per
+//! node; the residual operand is resolved per run.
+//!
+//! **Depthwise.** [`depthwise_plane`] computes one `(image, channel)`
+//! plane row-wise: for each block of output rows it accumulates every
+//! in-bounds tap range into a stack row of [`Acc`] (`i32` on channels
+//! the plan proved narrow, `i128` otherwise), then stores the row
+//! through the epilogue. The proof bounds every partial sum, so the
+//! tap-major summation order cannot change a value.
 //!
 //! **Determinism.** Every output element is accumulated by exactly one
 //! closure invocation, and integer addition is associative, so serial
@@ -51,11 +64,14 @@
 //! are merged into one [`Counter`] (a sum of non-negative integers,
 //! order-independent).
 
+use std::ops::AddAssign;
+
 use crate::gemm_i8::has_avx2;
 use crate::lower::{narrow, LEAKY_ALPHA_FRAC};
 use crate::requant::shift_round;
 use tqt_rt::pool;
 use tqt_rt::sync::Counter;
+use tqt_tensor::conv::Conv2dGeom;
 
 /// Accumulator-tile rows.
 const MRB: usize = 4;
@@ -190,52 +206,186 @@ impl Epilogue<'_> {
         }
     }
 
-    /// The stored value of one output element: `acc` plus the biases of
-    /// row `row` and column `col`, narrowed, then every step in order
-    /// (residual element `at`). Wraps go to `ovf`, clamps to `sat`.
-    #[inline(always)]
-    pub(crate) fn apply(
+    /// Stores one output row segment: `out[j]` is accumulator `acc[j]`
+    /// of row `row`, column `col0 + j`, plus the biases of that row and
+    /// column, narrowed to `i64`, then every step in order (residual
+    /// element `at0 + j`). Each step is one loop over the row. Wraps go to
+    /// `ovf`, clamps to `sat`; both counts, like every value, equal those
+    /// of applying the standalone node kernels element by element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` and `out` differ in length or a bias or residual
+    /// is shorter than the segment it is indexed at.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn store_row<A: Acc>(
         &self,
-        acc: i128,
+        acc: &[A],
         row: usize,
-        col: usize,
-        at: usize,
+        col0: usize,
+        at0: usize,
+        out: &mut [i64],
         ovf: &mut u64,
         sat: &mut u64,
-    ) -> i64 {
-        let mut wide = acc;
-        if let Some(br) = self.bias_row {
-            wide += i128::from(br[row]);
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: has_avx2() confirmed the CPU supports AVX2.
+            unsafe { store_row_avx2(self, acc, row, col0, at0, out, ovf, sat) }; // tqt:allow(unsafe): AVX2 dispatch guarded by runtime feature detection; the callee is safe code
+            return;
         }
-        if let Some(bc) = self.bias_col {
-            wide += i128::from(bc[col]);
-        }
-        let mut v = narrow(wide, ovf);
-        for step in self.steps {
-            match *step {
-                TileStep::Requant { shift, qmin, qmax } => {
-                    let r = shift_round(v, shift);
-                    let c = r.clamp(qmin, qmax);
-                    if c != r {
-                        *sat += 1;
-                    }
-                    v = c;
+        self.store_row_portable(acc, row, col0, at0, out, ovf, sat);
+    }
+
+    /// The body of [`store_row`](Self::store_row), compiled for the
+    /// baseline target here and for AVX2 in `store_row_avx2`: integer
+    /// semantics do not depend on the instruction set, so both are
+    /// bit-identical (the unit tests compare them).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn store_row_portable<A: Acc>(
+        &self,
+        acc: &[A],
+        row: usize,
+        col0: usize,
+        at0: usize,
+        out: &mut [i64],
+        ovf: &mut u64,
+        sat: &mut u64,
+    ) {
+        assert_eq!(acc.len(), out.len(), "accumulator row length mismatch");
+        let n = out.len();
+        let mut wraps = 0u64;
+        match (self.bias_row.map(|b| b[row]), self.bias_col) {
+            (br, None) => {
+                let b = br.unwrap_or(0);
+                for (o, &a) in out.iter_mut().zip(acc) {
+                    *o = a.narrow_plus(b, &mut wraps);
                 }
-                TileStep::AddResidual => {
-                    let res = self.residual.map_or(0, |r| r[at]);
-                    v = narrow(i128::from(v) + i128::from(res), ovf);
+            }
+            (None, Some(bc)) => {
+                for ((o, &a), &b) in out.iter_mut().zip(acc).zip(&bc[col0..col0 + n]) {
+                    *o = a.narrow_plus(b, &mut wraps);
                 }
-                TileStep::ReluCap(cap) => {
-                    v = v.max(0).min(cap);
-                }
-                TileStep::Leaky(alpha) => {
-                    let wide = (i128::from(v) << LEAKY_ALPHA_FRAC)
-                        .max(i128::from(v) * i128::from(alpha));
-                    v = narrow(wide, ovf);
+            }
+            (Some(br), Some(bc)) => {
+                for ((o, &a), &b) in out.iter_mut().zip(acc).zip(&bc[col0..col0 + n]) {
+                    *o = narrow(a.wide() + i128::from(br) + i128::from(b), &mut wraps);
                 }
             }
         }
+        for step in self.steps {
+            match *step {
+                TileStep::Requant { shift, qmin, qmax } => {
+                    let mut clamped = 0u64;
+                    for v in out.iter_mut() {
+                        let r = shift_round(*v, shift);
+                        let c = r.clamp(qmin, qmax);
+                        clamped += u64::from(c != r);
+                        *v = c;
+                    }
+                    *sat += clamped;
+                }
+                TileStep::AddResidual => {
+                    // Without an operand the step adds 0: nothing changes.
+                    if let Some(res) = self.residual {
+                        for (v, &r) in out.iter_mut().zip(&res[at0..at0 + n]) {
+                            let (s, wrapped) = v.overflowing_add(r);
+                            wraps += u64::from(wrapped);
+                            *v = s;
+                        }
+                    }
+                }
+                TileStep::ReluCap(cap) => {
+                    for v in out.iter_mut() {
+                        *v = (*v).max(0).min(cap);
+                    }
+                }
+                TileStep::Leaky(alpha) => {
+                    for v in out.iter_mut() {
+                        let x = i128::from(*v);
+                        *v = narrow(
+                            (x << LEAKY_ALPHA_FRAC).max(x * i128::from(alpha)),
+                            &mut wraps,
+                        );
+                    }
+                }
+            }
+        }
+        *ovf += wraps;
+    }
+}
+
+/// [`Epilogue::store_row`] compiled for AVX2: the same safe code, whose
+/// row loops the compiler can vectorize with 256-bit registers.
+///
+/// # Safety
+///
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn store_row_avx2<A: Acc>(
+    epi: &Epilogue,
+    acc: &[A],
+    row: usize,
+    col0: usize,
+    at0: usize,
+    out: &mut [i64],
+    ovf: &mut u64,
+    sat: &mut u64,
+) {
+    epi.store_row_portable(acc, row, col0, at0, out, ovf, sat);
+}
+
+/// An accumulator the row epilogue stores from: the narrow lane's `i32`
+/// (proven not to wrap) or the wide lane's exact `i128`.
+pub trait Acc: Copy + Default + AddAssign {
+    /// The exact value.
+    fn wide(self) -> i128;
+    /// `self + bias` narrowed to `i64`, counting a wrap into `wraps`.
+    fn narrow_plus(self, bias: i64, wraps: &mut u64) -> i64;
+    /// The product of an activation and a weight that the lane's proof
+    /// admits (depthwise taps).
+    fn product(x: i64, w: i64) -> Self;
+}
+
+impl Acc for i32 {
+    #[inline(always)]
+    fn wide(self) -> i128 {
+        i128::from(self)
+    }
+
+    #[inline(always)]
+    fn narrow_plus(self, bias: i64, wraps: &mut u64) -> i64 {
+        // One i64 add of two i64 values: its overflow flag is exactly
+        // "the exact sum leaves i64", and the wrapped sum is its narrow.
+        let (v, wrapped) = i64::from(self).overflowing_add(bias);
+        *wraps += u64::from(wrapped);
         v
+    }
+
+    #[inline(always)]
+    fn product(x: i64, w: i64) -> Self {
+        i32::from(to_i16(x)) * i32::from(to_i16(w))
+    }
+}
+
+impl Acc for i128 {
+    #[inline(always)]
+    fn wide(self) -> i128 {
+        self
+    }
+
+    #[inline(always)]
+    fn narrow_plus(self, bias: i64, wraps: &mut u64) -> i64 {
+        narrow(self + i128::from(bias), wraps)
+    }
+
+    #[inline(always)]
+    fn product(x: i64, w: i64) -> Self {
+        i128::from(x) * i128::from(w)
     }
 }
 
@@ -358,11 +508,15 @@ pub fn gemm_i64_narrow_fused(
                 for (r, arow) in acc.iter().enumerate().take(mr) {
                     let gi = row0 + rb + r;
                     let orow = (rb + r) * n + jc;
-                    for (j, slot) in ochunk[orow..orow + nc].iter_mut().enumerate() {
-                        let gj = jc + j;
-                        *slot =
-                            epi.apply(arow[j], gi, gj, gi * n + gj, &mut local_ovf, &mut local_sat);
-                    }
+                    epi.store_row(
+                        &arow[..nc],
+                        gi,
+                        jc,
+                        gi * n + jc,
+                        &mut ochunk[orow..orow + nc],
+                        &mut local_ovf,
+                        &mut local_sat,
+                    );
                 }
             }
         }
@@ -621,12 +775,96 @@ pub fn gemm_narrow_packed(
                 avx,
             );
             for r in 0..NMR.min(m - p * NMR) {
-                let gi = p * NMR + r;
-                for j in 0..nc {
-                    let v = i128::from(acc[r * NNR + j]);
-                    out[gi * n + j0 + j] = epi.apply(v, gi, j0 + j, gi * n + j0 + j, ovf, sat);
+                let (gi, at) = (p * NMR + r, (p * NMR + r) * n + j0);
+                let arow = &acc[r * NNR..r * NNR + nc];
+                epi.store_row(arow, gi, j0, at, &mut out[at..at + nc], ovf, sat);
+            }
+        }
+    }
+}
+
+/// Output elements per depthwise accumulator block: the length of the
+/// stack row [`depthwise_plane`] accumulates into.
+const DW_BLOCK: usize = 64;
+
+/// `dst[j] += x[j·s] · w` over one tap's run of output columns.
+#[inline(always)]
+fn depthwise_tap<A: Acc>(dst: &mut [A], src: &[i64], s: usize, w: i64) {
+    if s == 1 {
+        for (a, &x) in dst.iter_mut().zip(src) {
+            *a += A::product(x, w);
+        }
+    } else {
+        for (a, &x) in dst.iter_mut().zip(src.iter().step_by(s)) {
+            *a += A::product(x, w);
+        }
+    }
+}
+
+/// One depthwise `(image, channel)` plane, row-wise: `xim` is the
+/// `h × wd` input plane, `wk` the channel's `kh × kw` kernel, `out` the
+/// output plane. Blocks of whole output rows (or, for rows wider than
+/// the block, column runs of one row) accumulate in a stack row of `A`
+/// — `i32` where the plan proved the channel narrow, `i128` otherwise —
+/// tap by tap: for each kernel column `kj`, the output columns whose
+/// input column lies inside the plane are found once per block, then
+/// each output row adds one run per in-bounds kernel row. The block is
+/// stored through `epi` as row `co` (the channel, for the bias) with
+/// residual elements from `at0` on. Performs no heap allocation.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with the geometry.
+#[allow(clippy::too_many_arguments)]
+pub fn depthwise_plane<A: Acc>(
+    xim: &[i64],
+    (h, wd): (usize, usize),
+    wk: &[i64],
+    geom: Conv2dGeom,
+    epi: &Epilogue,
+    (co, at0): (usize, usize),
+    out: &mut [i64],
+    ovf: &mut u64,
+    sat: &mut u64,
+) {
+    let (oh, ow) = geom.out_size(h, wd);
+    assert_eq!(xim.len(), h * wd, "depthwise input plane length mismatch");
+    assert_eq!(wk.len(), geom.kh * geom.kw, "depthwise kernel length mismatch");
+    assert_eq!(out.len(), oh * ow, "depthwise output plane length mismatch");
+    let (s, pad) = (geom.stride, geom.pad);
+    let mut acc = [A::default(); DW_BLOCK];
+    let (rows, cols) = ((DW_BLOCK / ow).max(1), ow.min(DW_BLOCK));
+    for oi0 in (0..oh).step_by(rows) {
+        let oi1 = (oi0 + rows).min(oh);
+        for c0 in (0..ow).step_by(cols) {
+            // Either whole rows oi0..oi1 (c0 = 0, nc = ow) or one row's
+            // column run: contiguous in the output plane either way.
+            let nc = cols.min(ow - c0);
+            let block = &mut acc[..(oi1 - oi0) * nc];
+            block.fill(A::default());
+            for kj in 0..geom.kw {
+                // Columns oj with 0 <= oj·s + kj - pad < wd.
+                let Some(last) = (wd + pad).checked_sub(kj + 1) else {
+                    continue;
+                };
+                let lo = pad.saturating_sub(kj).div_ceil(s).max(c0);
+                let hi = (last / s + 1).min(c0 + nc);
+                if lo >= hi {
+                    continue;
+                }
+                for (oi, arow) in (oi0..oi1).zip(block.chunks_exact_mut(nc)) {
+                    // Kernel row ki reads input row oi·s + ki - pad,
+                    // which must lie in [0, h).
+                    let i0 = oi * s;
+                    for ki in pad.saturating_sub(i0)..geom.kh.min((h + pad).saturating_sub(i0)) {
+                        let src = &xim[(i0 + ki - pad) * wd + lo * s + kj - pad..];
+                        depthwise_tap(&mut arow[lo - c0..hi - c0], src, s, wk[ki * geom.kw + kj]);
+                    }
                 }
             }
+            let at = oi0 * ow + c0;
+            let len = block.len();
+            epi.store_row(block, co, at, at0 + at, &mut out[at..at + len], ovf, sat);
         }
     }
 }
@@ -732,6 +970,58 @@ mod tests {
             false,
         );
         assert_eq!(got, vec![3020 + 7 + 1, 30200 + 7 + 2]);
+    }
+
+    #[test]
+    fn portable_and_dispatched_row_stores_are_bit_identical() {
+        // On an AVX2 host `store_row` runs the AVX2 compilation; the
+        // portable one must agree with it on every value and count.
+        let mut rng = tqt_rt::Rng::new(5);
+        let steps = [
+            TileStep::Requant {
+                shift: 3,
+                qmin: -128,
+                qmax: 127,
+            },
+            TileStep::AddResidual,
+            TileStep::ReluCap(100),
+            TileStep::Leaky(13),
+            TileStep::Requant {
+                shift: -1,
+                qmin: -32768,
+                qmax: 32767,
+            },
+        ];
+        for len in [1usize, 7, 16, 33, 64] {
+            let big = |rng: &mut tqt_rt::Rng| (rng.next_u64() as i64) >> rng.gen_range(0u32..60);
+            let acc32: Vec<i32> = (0..len).map(|_| rng.next_u64() as i32).collect();
+            let acc128: Vec<i128> = (0..len).map(|_| i128::from(big(&mut rng)) << 2).collect();
+            let res: Vec<i64> = (0..len).map(|_| big(&mut rng)).collect();
+            let bias: Vec<i64> = (0..len).map(|_| big(&mut rng)).collect();
+            for k in 0..=steps.len() {
+                let epi = Epilogue {
+                    bias_row: Some(&bias),
+                    bias_col: None,
+                    steps: &steps[..k],
+                    residual: Some(&res),
+                };
+                let (mut a, mut b) = (vec![0i64; len], vec![0i64; len]);
+                let (mut ca, mut cb) = ((0, 0), (0, 0));
+                epi.store_row(&acc32, len - 1, 0, 0, &mut a, &mut ca.0, &mut ca.1);
+                epi.store_row_portable(&acc32, len - 1, 0, 0, &mut b, &mut cb.0, &mut cb.1);
+                assert_eq!((a, ca), (b, cb), "i32 row of {len}, {k} steps");
+                let epi = Epilogue {
+                    bias_row: None,
+                    bias_col: Some(&bias),
+                    ..epi
+                };
+                let (mut a, mut b) = (vec![0i64; len], vec![0i64; len]);
+                let (mut ca, mut cb) = ((0, 0), (0, 0));
+                epi.store_row(&acc128, 0, 0, 0, &mut a, &mut ca.0, &mut ca.1);
+                epi.store_row_portable(&acc128, 0, 0, 0, &mut b, &mut cb.0, &mut cb.1);
+                assert_eq!((a, ca), (b, cb), "i128 row of {len}, {k} steps");
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! plan packs each node's weights once, in the chosen lane's panel
 //! layout only, into a plan-owned arena. Depthwise convs take the same
 //! proof per channel and accumulate proven channels in `i32`. Every
-//! lane widens its accumulator to `i128` before the shared bias/narrow/
-//! epilogue, so outputs and saturation/overflow counts do not depend on
-//! the lane (`tests/narrow_lane_parity.rs`), and the plan verifier
-//! re-proves each narrow lane independently (`TQT-V018`).
+//! lane stores its accumulator rows through the shared row epilogue
+//! ([`crate::intgemm::Epilogue::store_row`]: bias, narrow, fused steps),
+//! so outputs and saturation/overflow counts do not depend on the lane
+//! (`tests/narrow_lane_parity.rs`), and the plan verifier re-proves each
+//! narrow lane independently (`TQT-V018`).
 //!
 //! The op kernels are the engine's hot path and are parallelized over
 //! the `tqt-rt` pool with **fixed-size blocks** (narrow convs over
@@ -31,7 +32,7 @@
 //! through order-independent `tqt_rt::sync::Counter` sums.
 
 use crate::intgemm::{
-    fits_i16, gemm_i64_narrow_fused, gemm_narrow_packed, narrow_conv_kpairs,
+    depthwise_plane, fits_i16, gemm_i64_narrow_fused, gemm_narrow_packed, narrow_conv_kpairs,
     narrow_conv_lhs_len, narrow_lhs_len, narrow_micro, narrow_panel_len, narrow_rhs_len, pack_lhs,
     pack_narrow_conv, pack_narrow_lhs, pack_narrow_rhs, pack_rhs, packed_lhs_len, packed_rhs_len,
     to_i16, Epilogue, Lhs, Rhs, TileStep, NMR, NNR,
@@ -977,9 +978,9 @@ impl<'g> IntExecutor<'g> {
     /// writes the output values into `out` (cleared and refilled)
     /// instead of materializing a fresh [`QTensor`], and returns the
     /// output format with the run's counters. With a warmed-up `out`
-    /// capacity the call performs no slot allocation — the
-    /// zero-allocation steady state [`slot_allocs`](Self::slot_allocs)
-    /// lets serving tests assert.
+    /// capacity the call grows no slot buffer, which
+    /// [`slot_allocs`](Self::slot_allocs) lets serving tests assert (the
+    /// run's counters and the pool's region bookkeeping still allocate).
     pub fn run_into(&mut self, x: &Tensor, out: &mut Vec<i64>) -> (QFormat, RunStats) {
         let stats = self.run_inner(x, false, &mut |_, _| {});
         self.assert_no_wrap(&stats);
@@ -1004,8 +1005,8 @@ impl<'g> IntExecutor<'g> {
     /// Cumulative slot-buffer allocations over this executor's
     /// lifetime: the plan-sized allocations at construction plus any
     /// mid-run resize (which would indicate a planning bug). A reused
-    /// session must hold this constant across requests — the
-    /// zero hot-path-allocation guarantee the serving bench relies on.
+    /// session must hold this constant across requests. It counts slot
+    /// buffers only, not heap allocations in general.
     pub fn slot_allocs(&self) -> u64 {
         self.slot_allocs
     }
@@ -1320,7 +1321,7 @@ const CONV_TILE_COLS: usize = 2 * NNR;
 /// `w`, in fixed `(image, CONV_TILE_COLS-column)` tiles across the pool.
 /// Each tile builds one [`NNR`]-column activation panel at a time
 /// straight from the input ([`conv_panel`]), runs every weight panel
-/// against it, and stores each widened accumulator through the
+/// against it, and stores each `i32` tile row through the row
 /// epilogue. Returns `(wrapped, saturated)` counts.
 fn conv_narrow_into(
     x: &[i64],
@@ -1360,10 +1361,9 @@ fn conv_narrow_into(
                 for r in 0..NMR.min(cout - p * NMR) {
                     let co = p * NMR + r;
                     let at = (ni * cout + co) * ncols + col0;
+                    let arow = &acc[r * NNR..r * NNR + nc];
                     let row = &mut tile.row(co)[j0..j0 + nc];
-                    for (j, o) in row.iter_mut().enumerate() {
-                        *o = epi.apply(i128::from(acc[r * NNR + j]), co, 0, at + j, &mut lo, &mut ls);
-                    }
+                    epi.store_row(arow, co, col0, at, row, &mut lo, &mut ls);
                 }
             }
         }
@@ -1443,37 +1443,11 @@ fn conv_panel(
     }
 }
 
-/// Calls `f(x, w)` for every in-bounds tap of output pixel `(oi, oj)` of
-/// one depthwise plane `xim` (`h × wd`) with kernel `wk`.
-#[inline(always)]
-fn depthwise_taps(
-    xim: &[i64],
-    wk: &[i64],
-    geom: Conv2dGeom,
-    (h, wd): (usize, usize),
-    (oi, oj): (usize, usize),
-    mut f: impl FnMut(i64, i64),
-) {
-    // Tap (ki, kj) reads input (i0 + ki - pad, j0 + kj - pad); clip the
-    // tap ranges to the image instead of testing every tap.
-    let (i0, j0, pad) = (oi * geom.stride, oj * geom.stride, geom.pad);
-    let ki_end = geom.kh.min((h + pad).saturating_sub(i0));
-    let kj_end = geom.kw.min((wd + pad).saturating_sub(j0));
-    let kj_start = pad.saturating_sub(j0).min(kj_end);
-    for ki in pad.saturating_sub(i0)..ki_end {
-        let row = &xim[(i0 + ki - pad) * wd..][..wd];
-        let wrow = &wk[ki * geom.kw..][..geom.kw];
-        for kj in kj_start..kj_end {
-            f(row[j0 + kj - pad], wrow[kj]);
-        }
-    }
-}
-
-/// Depthwise convolution, parallel over `(image, channel)` planes. A
-/// channel the plan proved narrow (`narrow_ch`) accumulates in `i32`,
-/// any other in exact `i128`; both widen to `i128` for the fused
-/// epilogue (`epi.bias_row` is the per-channel bias). Returns
-/// `(wrapped, saturated)` counts.
+/// Depthwise convolution, parallel over `(image, channel)` planes, each
+/// computed row-wise by [`depthwise_plane`]: a channel the plan proved
+/// narrow (`narrow_ch`) accumulates in `i32`, any other in exact `i128`;
+/// both store through the row epilogue (`epi.bias_row` is the
+/// per-channel bias). Returns `(wrapped, saturated)` counts.
 fn depthwise_into(
     x: &[i64],
     ish: &[usize],
@@ -1486,32 +1460,20 @@ fn depthwise_into(
     let (nb, c, h, wd) = (ish[0], ish[1], ish[2], ish[3]);
     let (oh, ow) = geom.out_size(h, wd);
     let ncols = oh * ow;
+    let taps = geom.kh * geom.kw;
     assert_eq!(out.len(), nb * c * ncols, "depthwise output length mismatch");
     epi.check(nb * c, ncols, c);
     let (ovf, sat) = (Counter::new(), Counter::new());
     pool::par_chunks_mut(out, ncols, |img, ochunk| {
         let co = img % c;
         let xim = &x[img * h * wd..(img + 1) * h * wd];
-        let wk = &w[co * geom.kh * geom.kw..(co + 1) * geom.kh * geom.kw];
-        let narrow_lane = narrow_ch.get(co).copied().unwrap_or(false);
+        let wk = &w[co * taps..(co + 1) * taps];
         let (mut lo, mut ls) = (0u64, 0u64);
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let at = img * ncols + oi * ow + oj;
-                ochunk[oi * ow + oj] = if narrow_lane {
-                    let mut s = 0i32;
-                    depthwise_taps(xim, wk, geom, (h, wd), (oi, oj), |xv, wv| {
-                        s += i32::from(to_i16(xv)) * i32::from(to_i16(wv));
-                    });
-                    epi.apply(i128::from(s), co, 0, at, &mut lo, &mut ls)
-                } else {
-                    let mut s = 0i128;
-                    depthwise_taps(xim, wk, geom, (h, wd), (oi, oj), |xv, wv| {
-                        s += i128::from(xv) * i128::from(wv);
-                    });
-                    epi.apply(s, co, 0, at, &mut lo, &mut ls)
-                };
-            }
+        let at = (co, img * ncols);
+        if narrow_ch.get(co).copied().unwrap_or(false) {
+            depthwise_plane::<i32>(xim, (h, wd), wk, geom, &epi, at, ochunk, &mut lo, &mut ls);
+        } else {
+            depthwise_plane::<i128>(xim, (h, wd), wk, geom, &epi, at, ochunk, &mut lo, &mut ls);
         }
         ovf.add(lo);
         sat.add(ls);

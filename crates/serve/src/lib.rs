@@ -7,18 +7,27 @@
 //! packed-weight panels far better at batch 4–8 than at batch 1. The
 //! pieces:
 //!
-//! * **Batch ladder** ([`Engine::build`]) — one [`IntPlan`] per rung of
-//!   [`LADDER`], each *proven at build time*: the interval analyzer
-//!   (`tqt_verify::analyze`) shows no i64 accumulator can wrap at that
-//!   batch size, and the plan checker (`tqt_verify::check_plan`) shows
-//!   the slot assignment is alias-free. A request can only ever run on
-//!   a plan that carries both proofs.
+//! * **Fused graph** ([`Engine::build`]) — the engine serves the fused
+//!   form of the lowered graph it is given (`tqt_fixedpoint::fuse`):
+//!   each conv/dense → requant/relu/residual-add chain runs as one node
+//!   whose epilogue is applied in the kernel's row store, not as
+//!   standalone passes over the slots. Fusion changes no value and no
+//!   saturation/overflow count.
+//! * **Batch ladder** ([`Engine::build`]) — one [`IntPlan`] of the fused
+//!   graph per rung of [`LADDER`], each *proven at build time*: the
+//!   interval analyzer (`tqt_verify::analyze`) shows no i64 accumulator
+//!   can wrap at that batch size and every fusion is legal (`TQT-V023`),
+//!   and the plan checker (`tqt_verify::check_plan`) shows the slot
+//!   assignment is alias-free. A request can only ever run on a plan
+//!   that carries both proofs.
 //! * **Shared-weight sessions** ([`Engine::serve`]) — every worker
 //!   builds one [`IntExecutor::with_plan`] session per rung, all
 //!   borrowing the engine's plans: one packed-weight arena per (model,
 //!   rung) regardless of worker count. Sessions reuse their slot and
-//!   output buffers across requests; the steady state performs no
-//!   executor-side allocation ([`IntExecutor::slot_allocs`]).
+//!   output buffers across requests, and their slot buffers never grow
+//!   ([`IntExecutor::slot_allocs`]). That is not a heap-allocation
+//!   bound: each run still allocates its counters, pool bookkeeping and
+//!   the reply `Vec`s.
 //! * **Admission queue** (`tqt_rt::queue`) — coalescing decisions are
 //!   the pure functions in `tqt_rt::sched`, exhaustively model-checked
 //!   (`TQT-V024` on refutation): no request is lost or dispatched
@@ -27,13 +36,14 @@
 //!
 //! Batching is bit-exact, not approximate: a batch-k dispatch produces
 //! exactly the logits (and saturation/overflow counters) of k
-//! independent batch-1 runs, which `tests/serve_parity.rs` proves
-//! zoo-wide — so the throughput win in `BENCH_serve.json` comes at
-//! equal accuracy by construction.
+//! independent batch-1 runs, and served replies equal batch-1 runs of
+//! the unfused lowering, which `tests/serve_parity.rs` proves zoo-wide —
+//! so the throughput win in `BENCH_serve.json` comes at equal accuracy
+//! by construction.
 
 use std::time::Duration;
 
-use tqt_fixedpoint::{IntExecutor, IntGraph, IntPlan, QFormat};
+use tqt_fixedpoint::{fuse, IntExecutor, IntGraph, IntPlan, QFormat};
 use tqt_rt::queue::{scoped_threads, BatchQueue, QueueStats};
 use tqt_tensor::Tensor;
 use tqt_verify::{analyze, check_plan_with};
@@ -61,8 +71,11 @@ pub struct ServeReport {
     pub saturated: u64,
     /// Total wrapped i64 accumulators (always 0 on proven plans).
     pub overflowed: u64,
-    /// Executor slot allocations beyond session construction — the
-    /// serving hot path's allocation count, asserted zero in tests.
+    /// Executor slot-buffer growths beyond session construction,
+    /// asserted zero in tests: a session never outgrows its plan's
+    /// slots. Only slot growth is counted, not heap allocations in
+    /// general (each run still allocates its counters and pool
+    /// bookkeeping, and each reply its logits).
     pub steady_state_allocs: u64,
 }
 
@@ -98,18 +111,23 @@ impl<T, R> Drop for Drain<'_, T, R> {
 }
 
 impl Engine {
-    /// Builds an engine over the default [`LADDER`].
+    /// Builds an engine over the default [`LADDER`]: fuses `graph`
+    /// (`tqt_fixedpoint::fuse`) and proves every rung's plan of the fused
+    /// graph.
     ///
     /// # Errors
     ///
-    /// Returns the rendered diagnostics if any rung's overflow proof or
-    /// plan-aliasing proof fails — an unproven plan never serves.
+    /// Returns the rendered diagnostics if any rung's overflow proof
+    /// (including fusion legality) or plan-aliasing proof fails — an
+    /// unproven plan never serves.
     pub fn build(graph: IntGraph, base_dims: &[usize]) -> Result<Engine, String> {
         Self::with_ladder(graph, base_dims, &LADDER)
     }
 
     /// Builds an engine over a custom ladder (sorted ascending, rung 1
-    /// first), proving every rung's plan.
+    /// first): fuses `graph`, then proves every rung's plan of the fused
+    /// graph — the overflow proof covers the fused epilogues and refutes
+    /// an illegal fusion (`TQT-V023`).
     ///
     /// # Errors
     ///
@@ -128,6 +146,7 @@ impl Engine {
             ladder.first() == Some(&1) && ladder.windows(2).all(|w| w[0] < w[1]),
             "ladder must be sorted ascending starting at rung 1"
         );
+        let graph = fuse(graph);
         let mut plans = Vec::with_capacity(ladder.len());
         for &rung in ladder {
             let mut dims = base_dims.to_vec();
@@ -164,7 +183,8 @@ impl Engine {
         &self.ladder
     }
 
-    /// The integer graph being served.
+    /// The integer graph being served: the fused form of the graph the
+    /// engine was built from.
     pub fn graph(&self) -> &IntGraph {
         &self.graph
     }
@@ -351,7 +371,7 @@ mod tests {
         assert_eq!(report.overflowed, 0, "proven plans cannot wrap");
         assert_eq!(
             report.steady_state_allocs, 0,
-            "serving hot path must not allocate executor slots"
+            "serving sessions must not grow their executor slots"
         );
     }
 

@@ -24,8 +24,15 @@ cargo test -q --offline --features tqt-fixedpoint/sanitize --test fusion_parity
 # tile) output tiles the sanitizer audits): every proven-narrow
 # i16×i16→i32 node zoo-wide matches the exact-i128 wide oracle on the
 # same operands (values and sat/ovf counters), lane choice follows the
-# proof, and the scalar and AVX2 micro-kernels are bit-identical.
+# proof, the scalar and AVX2 micro-kernels are bit-identical, and the
+# row-wise depthwise kernel matches the i128 path on hand-built edge
+# geometry (stride 2, pad 1, odd planes, planes smaller than the kernel)
+# without a heap allocation per plane. Next to it, the row epilogue every
+# kernel stores through must equal the per-element reference on random
+# step chains at the clamp and i64 wrap edges, and seeded counter bugs
+# must be refuted.
 cargo test -q --offline --features tqt-fixedpoint/sanitize --test narrow_lane_parity
+cargo test -q --offline -p tqt-fixedpoint --features sanitize --test epilogue_oracle
 cargo test -q --offline -p tqt-fixedpoint --features sanitize --test pack_cache_oracle
 # Grid-type / rebalance gate, also sanitized: unmerged-lowered graphs
 # repaired by the rebalance pass must be well-typed (TQT-V031..V034),
@@ -45,8 +52,10 @@ cargo test -q --offline -p tqt-rt --test serial_no_spawn
 # stranded deadline, clean drain — plus refutation of seeded bugs), and
 # zoo-wide batching bit-identity under the sanitize feature: a coalesced
 # batch-k dispatch must match k batch-1 runs bit-for-bit (values and
-# sat/ovf counters), and a full serve() scope must route every client
-# exactly the batch-1 logits with zero steady-state executor allocations.
+# sat/ovf counters), and a full serve() scope over the engine's fused
+# graph must route every client exactly the logits, and total exactly the
+# sat/ovf counts, of batch-1 runs of the unfused lowering (the oracle
+# independent of what the engine serves), with no executor slot growth.
 cargo test -q --offline -p tqt-rt --test batch_model
 cargo test -q --offline --features tqt-fixedpoint/sanitize --test serve_parity
 # Trainer gate, also under sanitize so the happens-before sanitizer

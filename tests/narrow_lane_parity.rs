@@ -12,13 +12,20 @@
 //!   16-bit zoo node sits on the lane its bound dictates, and nodes on
 //!   16-bit input grids or 64-bit accumulator formats stay wide;
 //! * the micro-kernel's scalar and AVX2 paths are bit-identical, across
-//!   ragged tile edges, odd `k`, and an accumulator of exactly `2³¹ − 1`.
+//!   ragged tile edges, odd `k`, and an accumulator of exactly `2³¹ − 1`;
+//! * the row-wise depthwise kernel matches the i128 path on hand-built
+//!   edge geometry (stride 2, pad 1, odd 5×7 planes, planes smaller than
+//!   the kernel, rows wider than its accumulator block), fused and
+//!   unfused, values and counters, without a heap allocation per plane.
 
 mod common;
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use tqt_fixedpoint::intgemm::{
-    gemm_i64_narrow_fused, gemm_narrow_packed, narrow_lhs_len, narrow_micro, narrow_rhs_len,
-    pack_narrow_lhs, pack_narrow_rhs, Epilogue, Lhs, Rhs, NMR, NNR,
+    depthwise_plane, gemm_i64_narrow_fused, gemm_narrow_packed, narrow_lhs_len, narrow_micro,
+    narrow_rhs_len, pack_narrow_lhs, pack_narrow_rhs, Epilogue, Lhs, Rhs, NMR, NNR,
 };
 use tqt_fixedpoint::lower::{IntNode, IntOp};
 use tqt_fixedpoint::{fuse, lower, IntGraph, IntPlan, Lane, QFormat};
@@ -27,8 +34,62 @@ use tqt_models::{ModelKind, INPUT_DIMS};
 use tqt_rt::check::{self, Config, Gen};
 use tqt_rt::sync::Counter;
 use tqt_rt::{prop_assert, Rng};
-use tqt_tensor::conv::im2col_into;
+use tqt_tensor::conv::{im2col_into, Conv2dGeom};
 use tqt_tensor::{init, Tensor};
+
+/// The system allocator, counting the allocations each thread makes —
+/// how the depthwise test shows its kernel allocates nothing per plane.
+struct ThreadCounting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+impl ThreadCounting {
+    fn tick() {
+        // `try_with`: an allocation during thread teardown is not counted.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the thread-local counter touches no
+// memory the allocator hands out.
+unsafe impl GlobalAlloc for ThreadCounting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::tick();
+        // SAFETY: the caller's guarantees for `layout` pass through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::tick();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::tick();
+        // SAFETY: `ptr` came from `System`; the caller's guarantees for
+        // `layout` and `new_size` pass through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: ThreadCounting = ThreadCounting;
+
+/// Allocations the calling thread made while `f` ran.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
 
 fn lowered(kind: ModelKind, bits: WeightBits, seed: u64) -> IntGraph {
     let mut g = kind.build(seed);
@@ -135,44 +196,68 @@ fn wide_oracle(
     (out, ovf.get(), sat.get())
 }
 
-/// Exact i128 depthwise accumulators (bias included), one per output
-/// element: what every depthwise channel, narrow or not, must produce
-/// before the epilogue. Only compared for unfused nodes, whose output is
-/// the narrowed accumulator itself.
-fn depthwise_oracle(op: &IntOp, x: &[i64], ish: &[usize]) -> Vec<i64> {
-    let IntOp::Conv { w, bias, geom, .. } = op else {
-        panic!("not a depthwise conv")
-    };
-    let (nb, c, h, wd) = (ish[0], ish[1], ish[2], ish[3]);
+/// Exact i128 accumulators of one depthwise plane `x` (`h × wd`) with
+/// kernel `wk`, by direct per-pixel, per-tap summation.
+fn depthwise_exact(x: &[i64], (h, wd): (usize, usize), wk: &[i64], geom: Conv2dGeom) -> Vec<i128> {
     let (oh, ow) = geom.out_size(h, wd);
-    let mut out = Vec::with_capacity(nb * c * oh * ow);
-    for img in 0..nb * c {
-        let co = img % c;
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let mut acc = bias.as_ref().map_or(0i128, |b| i128::from(b[co]));
-                for ki in 0..geom.kh {
-                    for kj in 0..geom.kw {
-                        let ii = (oi * geom.stride + ki) as isize - geom.pad as isize;
-                        let jj = (oj * geom.stride + kj) as isize - geom.pad as isize;
-                        if ii >= 0 && jj >= 0 && (ii as usize) < h && (jj as usize) < wd {
-                            let xv = x[img * h * wd + ii as usize * wd + jj as usize];
-                            let wv = w[co * geom.kh * geom.kw + ki * geom.kw + kj];
-                            acc += i128::from(xv) * i128::from(wv);
-                        }
+    let mut out = Vec::with_capacity(oh * ow);
+    for oi in 0..oh {
+        for oj in 0..ow {
+            let mut acc = 0i128;
+            for ki in 0..geom.kh {
+                for kj in 0..geom.kw {
+                    let ii = (oi * geom.stride + ki) as isize - geom.pad as isize;
+                    let jj = (oj * geom.stride + kj) as isize - geom.pad as isize;
+                    if ii >= 0 && jj >= 0 && (ii as usize) < h && (jj as usize) < wd {
+                        let xv = x[ii as usize * wd + jj as usize];
+                        acc += i128::from(xv) * i128::from(wk[ki * geom.kw + kj]);
                     }
                 }
-                out.push(acc as i64);
             }
+            out.push(acc);
         }
     }
     out
 }
 
+/// The i128 path for depthwise node `id` (fused or not) on operand `x`
+/// (and residual `res`): exact i128 accumulators stored through the
+/// node's bias and fused epilogue. `(output, overflowed, saturated)`.
+fn depthwise_oracle(
+    plan: &IntPlan,
+    id: usize,
+    op: &IntOp,
+    x: &[i64],
+    ish: &[usize],
+    res: Option<&[i64]>,
+) -> (Vec<i64>, u64, u64) {
+    let IntOp::Conv { w, bias, geom, .. } = core(op) else {
+        panic!("not a depthwise conv")
+    };
+    let epi = Epilogue {
+        bias_row: bias.as_deref(),
+        bias_col: None,
+        steps: plan.tile_steps(id),
+        residual: res,
+    };
+    let (nb, c, h, wd) = (ish[0], ish[1], ish[2], ish[3]);
+    let (oh, ow) = geom.out_size(h, wd);
+    let (taps, ncols) = (geom.kh * geom.kw, oh * ow);
+    let mut out = vec![0i64; nb * c * ncols];
+    let (mut ovf, mut sat) = (0, 0);
+    for (img, plane) in out.chunks_exact_mut(ncols).enumerate() {
+        let co = img % c;
+        let xim = &x[img * h * wd..(img + 1) * h * wd];
+        let acc = depthwise_exact(xim, (h, wd), &w[co * taps..(co + 1) * taps], *geom);
+        epi.store_row(&acc, co, 0, img * ncols, plane, &mut ovf, &mut sat);
+    }
+    (out, ovf, sat)
+}
+
 /// Runs `g` on `x` with every node's output tapped, then checks every
-/// GEMM node (and each unfused depthwise node with a narrow channel)
-/// against the wide oracle on the tapped operands. Returns how many
-/// narrow GEMM nodes it checked.
+/// GEMM node against the wide oracle, and every depthwise node (fused or
+/// not) with a narrow channel against the i128 path, on the tapped
+/// operands. Returns how many narrow GEMM nodes it checked.
 fn check_gemm_nodes(label: &str, g: &IntGraph, x: &Tensor) -> usize {
     let plan = g.plan(x.dims());
     let mut taps: Vec<Vec<i64>> = vec![Vec::new(); g.nodes().len()];
@@ -209,13 +294,18 @@ fn check_gemm_nodes(label: &str, g: &IntGraph, x: &Tensor) -> usize {
                     narrow += 1;
                 }
             }
-            None if plan.depthwise_narrow(id).contains(&true)
-                && matches!(node.op, IntOp::Conv { .. }) =>
-            {
-                let want = depthwise_oracle(&node.op, &taps[i0], ish);
+            None if plan.depthwise_narrow(id).contains(&true) => {
+                let res = node.inputs.get(1).map(|&r| taps[r].as_slice());
+                let (want, ovf, sat) = depthwise_oracle(&plan, id, &node.op, &taps[i0], ish, res);
                 assert!(
                     want == taps[id],
                     "{label}: depthwise `{}` differs from the i128 oracle",
+                    node.name
+                );
+                assert_eq!(
+                    (st.overflowed, st.saturated),
+                    (ovf, sat),
+                    "{label}: depthwise `{}` counters",
                     node.name
                 );
             }
@@ -564,6 +654,178 @@ fn accumulator_of_exactly_i32_max_is_exact_on_both_kernels() {
                 accrow.iter().all(|&v| v == want),
                 "avx={avx} row {r}: {accrow:?}"
             );
+        }
+    }
+}
+
+/// Depthwise edge geometry: `(h, w, geom)` of one input plane and a 3×3
+/// kernel — stride 2 with pad 1, odd planes, planes smaller than the
+/// kernel, and rows wider than the kernel's 64-element accumulator block
+/// (stride 1 and 2).
+fn dw_edge_geometries() -> Vec<(usize, usize, Conv2dGeom)> {
+    let (s1, s2) = (Conv2dGeom::new(3, 1, 1), Conv2dGeom::new(3, 2, 1));
+    vec![
+        (8, 8, s2),
+        (5, 7, s1),
+        (5, 7, s2),
+        (1, 1, s1),
+        (2, 2, s1),
+        (2, 2, s2),
+        (3, 70, s1),
+        (4, 131, s2),
+    ]
+}
+
+/// `input → q8 → depthwise(3 channels, bias) → requant u8 → relu`: the
+/// requant saturates on both sides, and `fuse` folds the chain into one
+/// depthwise-core node.
+fn depthwise_graph(geom: Conv2dGeom, seed: u64) -> IntGraph {
+    let mut rng = Rng::new(seed);
+    let w: Vec<i64> = (0..3 * 9).map(|_| rng.gen_range(-300i64..301)).collect();
+    let node = |name: &str, op: IntOp, inputs: Vec<usize>| IntNode {
+        name: name.into(),
+        op,
+        inputs,
+    };
+    let nodes = vec![
+        node("input", IntOp::Input, vec![]),
+        node(
+            "q8",
+            IntOp::QuantF32 {
+                format: QFormat::new(4, 8, true),
+            },
+            vec![0],
+        ),
+        node(
+            "dw",
+            IntOp::Conv {
+                w,
+                wdims: [3, 1, 3, 3],
+                bias: Some(vec![700, -900, 5]),
+                geom,
+                depthwise: true,
+                w_frac: 6,
+            },
+            vec![1],
+        ),
+        node(
+            "rq",
+            IntOp::Requant {
+                format: QFormat::new(3, 8, false),
+            },
+            vec![2],
+        ),
+        node("relu", IntOp::Relu { cap_q: Some(200) }, vec![3]),
+    ];
+    IntGraph::from_parts(nodes, 4)
+}
+
+#[test]
+fn depthwise_edge_geometry_matches_the_i128_path() {
+    for (gi, (h, wd, geom)) in dw_edge_geometries().into_iter().enumerate() {
+        let g = depthwise_graph(geom, 40 + gi as u64);
+        let fg = fuse(g.clone());
+        assert!(
+            fg.nodes().iter().any(|n| matches!(
+                &n.op,
+                IntOp::Fused { core, .. } if matches!(**core, IntOp::Conv { depthwise: true, .. })
+            )),
+            "{h}x{wd}: the depthwise chain did not fuse"
+        );
+        let mut rng = init::rng(60 + gi as u64);
+        for batch in [1usize, 2] {
+            let x = init::normal([batch, 3, h, wd], 0.0, 4.0, &mut rng);
+            for (form, g) in [("unfused", &g), ("fused", &fg)] {
+                let plan = g.plan(x.dims());
+                let dw = (0..g.nodes().len())
+                    .find(|&id| !plan.depthwise_narrow(id).is_empty())
+                    .expect("the graph has a depthwise node");
+                assert_eq!(
+                    plan.depthwise_narrow(dw),
+                    [true; 3],
+                    "{h}x{wd}: narrow proof"
+                );
+                let label = format!(
+                    "depthwise {h}x{wd} stride {} batch {batch} {form}",
+                    geom.stride
+                );
+                check_gemm_nodes(&label, g, &x);
+            }
+        }
+    }
+}
+
+#[test]
+fn depthwise_plane_allocates_nothing_and_is_lane_independent() {
+    use tqt_fixedpoint::intgemm::TileStep;
+    let steps = [
+        TileStep::Requant {
+            shift: 7,
+            qmin: 0,
+            qmax: 255,
+        },
+        TileStep::ReluCap(200),
+    ];
+    let mut rng = Rng::new(77);
+    for (h, wd, geom) in dw_edge_geometries() {
+        let (oh, ow) = geom.out_size(h, wd);
+        let x: Vec<i64> = (0..h * wd).map(|_| rng.gen_range(-128i64..128)).collect();
+        let wk: Vec<i64> = (0..9).map(|_| rng.gen_range(-300i64..301)).collect();
+        let bias = [rng.gen_range(-2000i64..2001)];
+        for steps in [&steps[..0], &steps[..]] {
+            let epi = Epilogue {
+                bias_row: Some(&bias),
+                steps,
+                ..Epilogue::default()
+            };
+            let (mut narrow, mut wide) = (vec![0i64; oh * ow], vec![0i64; oh * ow]);
+            let (mut nc, mut wc) = ((0u64, 0u64), (0u64, 0u64));
+            let allocs = allocs_during(|| {
+                depthwise_plane::<i32>(
+                    &x,
+                    (h, wd),
+                    &wk,
+                    geom,
+                    &epi,
+                    (0, 0),
+                    &mut narrow,
+                    &mut nc.0,
+                    &mut nc.1,
+                );
+            });
+            assert_eq!(allocs, 0, "{h}x{wd}: the narrow depthwise plane allocated");
+            depthwise_plane::<i128>(
+                &x,
+                (h, wd),
+                &wk,
+                geom,
+                &epi,
+                (0, 0),
+                &mut wide,
+                &mut wc.0,
+                &mut wc.1,
+            );
+            assert_eq!(narrow, wide, "{h}x{wd}: i32 and i128 accumulation differ");
+            assert_eq!(nc, wc, "{h}x{wd}: counters differ between lanes");
+            let mut exact = vec![0i64; oh * ow];
+            let mut ec = (0u64, 0u64);
+            epi.store_row(
+                &depthwise_exact(&x, (h, wd), &wk, geom),
+                0,
+                0,
+                0,
+                &mut exact,
+                &mut ec.0,
+                &mut ec.1,
+            );
+            assert_eq!(
+                narrow, exact,
+                "{h}x{wd}: row-wise kernel differs from per-pixel sums"
+            );
+            assert_eq!(nc, ec, "{h}x{wd}: counters differ from per-pixel sums");
+            if !steps.is_empty() {
+                assert!(nc.1 > 0, "{h}x{wd}: the requant never clamped");
+            }
         }
     }
 }

@@ -6,8 +6,13 @@
 //! the same per-element epilogues row by row, so there is no tolerance
 //! to hide behind). On top of the executor-level identity, a full
 //! serve() scope — admission queue, coalescing, shared-weight sessions —
-//! must route every client exactly the logits a direct batch-1 run
-//! produces, with zero executor allocations in the steady state.
+//! must route every client exactly the logits, and total exactly the
+//! saturation/overflow counts, of batch-1 `run_with_stats` runs of the
+//! **unfused** lowering the engine was built from (the engine serves its
+//! own fused form, so its own plans are no independent oracle), with
+//! zero executor slot allocations in the steady state. The served graph
+//! must actually be fused: at least one `Fused` node, and no `Requant`
+//! or `Relu` left reading a single-consumer conv.
 //!
 //! `scripts/ci.sh` runs this under the `sanitize` feature, so the sweep
 //! additionally exercises accumulator-wrap asserts, the happens-before
@@ -16,7 +21,8 @@
 
 use std::time::Duration;
 
-use tqt_fixedpoint::{lower, IntExecutor};
+use tqt_fixedpoint::lower::IntOp;
+use tqt_fixedpoint::{lower, IntExecutor, IntGraph};
 use tqt_graph::{quantize_graph, transforms, QuantizeOptions, WeightBits};
 use tqt_models::{ModelKind, INPUT_DIMS};
 use tqt_rt::pool;
@@ -25,16 +31,44 @@ use tqt_serve::Engine;
 use tqt_tensor::{init, Tensor};
 use tqt_verify::collect_hb_findings;
 
-fn engine_for(kind: ModelKind, seed: u64) -> Engine {
+/// The serving engine for `kind`, and a clone of the unfused lowering
+/// it was built from.
+fn engine_for(kind: ModelKind, seed: u64) -> (Engine, IntGraph) {
     let mut g = kind.build(seed);
     transforms::optimize(&mut g, &INPUT_DIMS);
     quantize_graph(&mut g, QuantizeOptions::retrain_wt_th(WeightBits::Int8));
     let mut rng = init::rng(seed + 500);
     g.calibrate(&init::normal([8, 3, 32, 32], 0.0, 1.0, &mut rng));
     let ig = lower(&mut g);
-    match Engine::build(ig, &INPUT_DIMS) {
-        Ok(e) => e,
+    match Engine::build(ig.clone(), &INPUT_DIMS) {
+        Ok(e) => (e, ig),
         Err(msg) => panic!("{}: ladder plans must prove\n{msg}", kind.name()),
+    }
+}
+
+/// Asserts the engine serves a fused graph: at least one `Fused` node,
+/// and no `Requant`/`Relu` consuming a conv that has no other consumer.
+fn assert_served_graph_is_fused(name: &str, g: &IntGraph) {
+    let nodes = g.nodes();
+    assert!(
+        nodes.iter().any(|n| matches!(n.op, IntOp::Fused { .. })),
+        "{name}: the served graph has no fused node"
+    );
+    let mut consumers = vec![0usize; nodes.len()];
+    for n in nodes {
+        for &i in &n.inputs {
+            consumers[i] += 1;
+        }
+    }
+    for n in nodes {
+        if let (IntOp::Requant { .. } | IntOp::Relu { .. }, [i]) = (&n.op, &n.inputs[..]) {
+            assert!(
+                !(matches!(nodes[*i].op, IntOp::Conv { .. }) && consumers[*i] == 1),
+                "{name}: `{}` still reads the single-consumer conv `{}` unfused",
+                n.name,
+                nodes[*i].name
+            );
+        }
     }
 }
 
@@ -52,7 +86,7 @@ fn batch_dispatch_is_bit_identical_to_single_requests() {
     pool::set_threads(4);
     for (i, &kind) in ModelKind::all().iter().enumerate() {
         let seed = 90 + i as u64;
-        let eng = engine_for(kind, seed);
+        let (eng, _) = engine_for(kind, seed);
         let mut rng = init::rng(seed + 900);
         for &rung in eng.ladder() {
             if rung == 1 {
@@ -115,16 +149,22 @@ fn served_replies_are_bit_identical_zoo_wide() {
     pool::set_threads(1);
     for (i, &kind) in ModelKind::all().iter().enumerate() {
         let seed = 90 + i as u64;
-        let eng = engine_for(kind, seed);
+        let (eng, unfused) = engine_for(kind, seed);
+        assert_served_graph_is_fused(kind.name(), eng.graph());
         let mut rng = init::rng(seed + 950);
         let images: Vec<Tensor> = (0..6)
             .map(|_| init::normal(INPUT_DIMS, 0.0, 1.0, &mut rng))
             .collect();
-        let expected: Vec<Vec<i64>> = {
-            let plan = eng.plan_for(1).expect("rung 1 is planned");
-            let mut ex = IntExecutor::with_plan(eng.graph(), plan);
-            images.iter().map(|x| ex.run(x).data().to_vec()).collect()
-        };
+        let (mut sat, mut ovf) = (0u64, 0u64);
+        let expected: Vec<Vec<i64>> = images
+            .iter()
+            .map(|x| {
+                let (y, st) = unfused.run_with_stats(x);
+                sat += st.total_saturated();
+                ovf += st.total_overflowed();
+                y.data().to_vec()
+            })
+            .collect();
         let ((), report) = eng.serve(2, Duration::from_millis(2), |client| {
             let (imgs, exp) = (&images, &expected);
             let (_, ()) = scoped_threads(
@@ -135,7 +175,7 @@ fn served_replies_are_bit_identical_zoo_wide() {
                         assert_eq!(
                             reply.logits,
                             exp[j],
-                            "{}: served logits differ from the batch-1 run",
+                            "{}: served logits differ from the unfused batch-1 run",
                             kind.name()
                         );
                     }
@@ -151,8 +191,14 @@ fn served_replies_are_bit_identical_zoo_wide() {
         );
         assert_eq!(report.overflowed, 0, "{}: proven plans cannot wrap", kind.name());
         assert_eq!(
+            (report.saturated, report.overflowed),
+            (sat, ovf),
+            "{}: served saturation/overflow totals differ from the unfused batch-1 runs",
+            kind.name()
+        );
+        assert_eq!(
             report.steady_state_allocs, 0,
-            "{}: the serving hot path must not allocate executor slots",
+            "{}: serving sessions must not grow their executor slots",
             kind.name()
         );
     }
